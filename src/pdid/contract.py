@@ -115,18 +115,26 @@ class GpmContract:
             raise MalformedRecord("transaction kind does not match method")
         return crypto.pk_decrypt(self._keypair.secret, tx.payload)
 
-    def _recent_attempts(self, username: bytes, now: float) -> Deque[float]:
+    def _recent_attempts(self, username: bytes, now: float) -> int:
+        """Prune the username's window to `now` and count what is left. A
+        window left empty is dropped, so only usernames with live charged
+        attempts hold one."""
+        times = self._attempts.get(username)
+        if times is None:
+            return 0
         window = self.rate_limit[1]
-        times = self._attempts.setdefault(username, deque())
         while times and now - times[0] > window:
             times.popleft()
-        return times
+        if not times:
+            del self._attempts[username]
+        return len(times)
 
-    def _check_rate(self, username: bytes, now: float) -> Deque[float]:
-        times = self._recent_attempts(username, now)
-        if len(times) >= self.rate_limit[0]:
+    def _check_rate(self, username: bytes, now: float) -> None:
+        if self._recent_attempts(username, now) >= self.rate_limit[0]:
             raise RateLimited("too many recent attempts for this username")
-        return times
+
+    def _charge(self, username: bytes, now: float) -> None:
+        self._attempts.setdefault(username, deque()).append(now)
 
     # -- contract methods ------------------------------------------------------
 
@@ -151,8 +159,8 @@ class GpmContract:
         if meta is None:
             raise UnknownUser("no metadata for this username")
         now = self._clock()
-        times = self._check_rate(msg.username, now)
-        times.append(now)
+        self._check_rate(msg.username, now)
+        self._charge(msg.username, now)
 
         evaluated = oprf.evaluate(msg.blinded_element, meta.oprf_key)
         e_client = crypto.scalar_from_digest(msg.e_client)
@@ -187,7 +195,7 @@ class GpmContract:
         if meta is None:
             raise UnknownUser("no metadata for this username")
         now = self._clock()
-        times = self._check_rate(msg.username, now)
+        self._check_rate(msg.username, now)
 
         envelope_key = oprf.oprf_eval(meta.oprf_key, msg.password)
         try:
@@ -201,14 +209,21 @@ class GpmContract:
         except AuthFailure:
             verified = False
         if not verified:
-            times.append(now)
+            self._charge(msg.username, now)
             raise WrongPassword("old password verification failed")
         self._users[msg.username] = msg.new_metadata
 
     # -- sealing ---------------------------------------------------------------
 
     def seal(self, sealing_key: bytes) -> bytes:
-        """Authenticated snapshot of the full state under the sealing key."""
+        """Authenticated snapshot of the full state under the sealing key.
+
+        Rate windows are pruned to the current time first, so expired
+        attempts are not carried into the sealed state.
+        """
+        now = self._clock()
+        for username in list(self._attempts):
+            self._recent_attempts(username, now)
         users_parts = [struct.pack(">I", len(self._users))]
         for username in sorted(self._users):
             users_parts.append(pack_field(username))

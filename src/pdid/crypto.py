@@ -9,6 +9,8 @@ The group is NIST P-256 implemented here directly (Jacobian coordinates,
 windowed multiplication, batch-normalized fixed-base table) so that element
 encodings stay at 33 bytes and the protocol layer can treat the group as an
 opaque module boundary; swapping curves means editing only this file.
+Decoding a compressed element (decompression and the on-curve check) is
+delegated to OpenSSL through `cryptography`; the group arithmetic is not.
 Symmetric and box primitives are delegated to the `cryptography` package:
 ChaCha20-Poly1305 for AEAD, X25519 + ChaCha20-Poly1305 for public-key boxes,
 Ed25519 for detached signatures.
@@ -26,6 +28,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.hazmat.primitives.asymmetric.ec import (
+    SECP256R1,
+    EllipticCurvePublicKey,
+)
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -341,25 +347,22 @@ class GroupElement:
 
 IDENTITY = GroupElement(None, None)
 GENERATOR = GroupElement(_GX, _GY)
+_CURVE = SECP256R1()
 
 
 def decode_element(data: bytes) -> GroupElement:
     """Decode a compressed element, enforcing membership; identity refused."""
     if len(data) != ELEMENT_LEN:
         raise InvalidElement("element encoding must be 33 bytes")
-    prefix = data[0]
-    if prefix not in (2, 3):
+    if data[0] not in (2, 3):
         raise InvalidElement("bad compression prefix")
-    x = int.from_bytes(data[1:], "big")
-    if x >= _P:
+    if int.from_bytes(data[1:], "big") >= _P:
         raise InvalidElement("x out of field range")
-    rhs = (x * x * x + _A * x + _B) % _P
-    y = pow(rhs, (_P + 1) // 4, _P)
-    if y * y % _P != rhs:
-        raise InvalidElement("x has no point on the curve")
-    if y & 1 != prefix & 1:
-        y = _P - y
-    return GroupElement(x, y)
+    try:
+        point = EllipticCurvePublicKey.from_encoded_point(_CURVE, data).public_numbers()
+    except ValueError as exc:
+        raise InvalidElement("x has no point on the curve") from exc
+    return GroupElement(point.x, point.y)
 
 
 def decode_scalar(data: bytes) -> Scalar:

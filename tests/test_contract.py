@@ -202,6 +202,23 @@ def test_failed_update_counts_as_attempt(manual_clock):
         auth_once(gpm, ledger, b"alice", b"pw")
 
 
+def test_rate_windows_hold_only_charged_unexpired_attempts(manual_clock):
+    ledger, gpm = fresh(clock=manual_clock, rate_limit=(3, 60.0))
+    register(gpm, ledger, b"alice", b"pw")
+    register(gpm, ledger, b"bob", b"pw")
+    tx = actors.client_update(b"alice", b"pw", b"new", gpm.public_key)
+    gpm.update_pdid(tx, ledger.append(tx))
+    assert b"alice" not in gpm._attempts  # a successful update charges nothing
+    auth_once(gpm, ledger, b"bob", b"pw")
+    assert len(gpm._attempts[b"bob"]) == 1
+    manual_clock.advance(61.0)
+    key = crypto.random_bytes(crypto.KEY_LEN)
+    restored = GpmContract.unseal(
+        gpm.seal(key), key, tx_verifier=ledger.tx_included, clock=manual_clock
+    )
+    assert restored._attempts == {}  # bob's expired window is not sealed
+
+
 # ---------------------------------------------------------------------------
 # Password update.
 # ---------------------------------------------------------------------------

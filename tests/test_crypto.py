@@ -192,6 +192,55 @@ def test_element_decode_rejects_non_residue_x():
     assert rejected > 0  # about half of all x lack a point
 
 
+# Independent reference for decode_element: SEC1 decompression in pure
+# Python, y = rhs^((p+1)/4) because the P-256 prime is 3 mod 4.
+P256_P = 2**256 - 2**224 + 2**192 + 2**96 - 1
+P256_B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
+
+
+def reference_decode_element(data):
+    if len(data) != 33 or data[0] not in (2, 3):
+        raise InvalidElement("bad encoding")
+    x = int.from_bytes(data[1:], "big")
+    if x >= P256_P:
+        raise InvalidElement("x out of field range")
+    rhs = (x * x * x - 3 * x + P256_B) % P256_P
+    y = pow(rhs, (P256_P + 1) // 4, P256_P)
+    if y * y % P256_P != rhs:
+        raise InvalidElement("x has no point on the curve")
+    if y & 1 != data[0] & 1:
+        y = P256_P - y
+    return crypto.GroupElement(x, y)
+
+
+def decode_outcome(decode, data):
+    try:
+        return decode(data)
+    except InvalidElement:
+        return InvalidElement
+
+
+def test_element_decode_matches_reference(seeded):
+    points = [crypto.base_exp(crypto.random_scalar()).encode() for _ in range(40)]
+    encodings = [b"\x00" * 33, b"\x02" + b"\xff" * 32, b"\x03" + P256_P.to_bytes(32, "big")]
+    for point in points:
+        encodings.append(point)
+        encodings.append(bytes([point[0] ^ 1]) + point[1:])  # the negated point
+        encodings.extend(bytes([prefix]) + point[1:] for prefix in (0, 1, 4))
+        encodings.extend((point[:32], point + b"\x00"))
+    for _ in range(100):
+        x = crypto.random_bytes(32)
+        encodings.append(bytes([2 + x[0] % 2]) + x)  # about half have no point
+    for _ in range(20):
+        x = P256_P + int.from_bytes(crypto.random_bytes(28), "big")
+        encodings.append(b"\x02" + x.to_bytes(32, "big"))
+    assert len(encodings) >= 300
+    outcomes = [decode_outcome(crypto.decode_element, e) for e in encodings]
+    assert outcomes == [decode_outcome(reference_decode_element, e) for e in encodings]
+    valid = sum(o is not InvalidElement for o in outcomes)
+    assert 80 < valid < len(encodings) - 100
+
+
 def test_golden_base_point_multiple():
     assert crypto.base_exp(crypto.Scalar(12345)).encode().hex() == GOLDEN_BASE_12345
 

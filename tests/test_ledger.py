@@ -140,6 +140,9 @@ def test_persistence_round_trip(tmp_path):
     assert reloaded.tx_included(extra, reloaded.append(extra))
     with pytest.raises(DuplicateTransaction):
         reloaded.append(txs[0])
+    # A replayed payload under a different kind is the same id after reload.
+    with pytest.raises(DuplicateTransaction):
+        reloaded.append(Transaction(TxKind.REGISTER, txs[0].payload))
     reloaded.close()
 
 
@@ -151,9 +154,47 @@ def test_open_rejects_garbage(tmp_path):
         Ledger.open(path)
 
 
+GOOD_RECORD = Transaction(TxKind.AUTH, b"payload").encode()
+
+
+def framed(record):
+    return len(record).to_bytes(4, "big") + record
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        pytest.param(framed(b"\x07" + GOOD_RECORD[1:]), id="wrong-tag"),
+        pytest.param(framed(b"\x08\x00\x00" + GOOD_RECORD[4:]), id="kind-length-0"),
+        pytest.param(framed(b"\x08\x00\x02\x02" + GOOD_RECORD[3:]), id="kind-length-2"),
+        pytest.param(framed(GOOD_RECORD[:3] + b"\x00" + GOOD_RECORD[4:]), id="kind-0"),
+        pytest.param(framed(GOOD_RECORD[:3] + b"\x04" + GOOD_RECORD[4:]), id="kind-4"),
+        pytest.param(framed(GOOD_RECORD[:4] + b"\x00\x06" + GOOD_RECORD[6:]), id="payload-length-short"),
+        pytest.param(framed(GOOD_RECORD[:4] + b"\x00\x08" + GOOD_RECORD[6:]), id="payload-length-long"),
+        pytest.param(framed(GOOD_RECORD[:5]), id="record-shorter-than-header"),
+        pytest.param(framed(b""), id="empty-record"),
+        pytest.param(framed(GOOD_RECORD)[:2], id="truncated-length-prefix"),
+        pytest.param(framed(GOOD_RECORD)[:-1], id="truncated-record"),
+    ],
+)
+def test_open_rejects_malformed_record(tmp_path, tail):
+    path = str(tmp_path / "ledger.log")
+    ledger = Ledger.create(path)
+    ledger.append(make_tx())
+    ledger.close()
+    Ledger.open(path).close()  # the well-formed prefix opens
+    with open(path, "ab") as fh:
+        fh.write(tail)
+    with pytest.raises((MalformedRecord, LedgerError)):
+        Ledger.open(path)
+
+
 def test_transaction_encoding_round_trip():
+    for kind in TxKind:
+        for length in (0, 1, 0xFFFF):
+            tx = Transaction(kind, crypto.random_bytes(length))
+            assert Transaction.decode(tx.encode()) == tx
     tx = Transaction(TxKind.UPDATE, crypto.random_bytes(40))
-    assert Transaction.decode(tx.encode()) == tx
     with pytest.raises(MalformedRecord):
         Transaction.decode(tx.encode()[:-1])
     bad_kind = Transaction(TxKind.AUTH, b"p").encode()
