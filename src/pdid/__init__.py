@@ -5,7 +5,8 @@ password-derived secrets at rest, and a contract running over a
 byzantine-fault-tolerant ledger holds the per-user record that makes
 offline guessing impossible for anyone below the fault threshold.
 
-Layers, bottom to top:
+Layers, bottom to top (import the module you need, e.g.
+`from pdid import actors`):
 
 - `crypto`: prime-order group, hashing, PRF, AEAD, public-key
   encryption, signatures.
@@ -13,95 +14,12 @@ Layers, bottom to top:
 - `wire`: fixed binary encodings for every message and record.
 - `ledger`: the simulated BFT ledger with inclusion proofs.
 - `contract`: the identity contract (register, authenticate, update).
-- `actors`: client-side and server-side protocol state machines.
-- `adversary`: attack harnesses used to demonstrate the defenses.
-- `cli`: deployment harness, attack scenarios, benchmarks.
+- `actors`: client-side and server-side protocol roles, and the
+  `run_register` / `run_login` / `run_update` drivers that carry each flow
+  through a ledger and a contract.
+- `adversary`: attack probes, the passive trace observer, and the
+  `pdid attack` drills built on them.
+- `cli`: deployment config and files, and the `pdid` commands.
 """
 
-from . import actors, adversary, contract, crypto, ledger, oprf, wire
-from .actors import (
-    ClientSession,
-    ServerSession,
-    build_metadata,
-    client_auth_finish,
-    client_auth_init,
-    client_register,
-    client_update,
-    key_confirm,
-    server_auth_phase1,
-    server_auth_phase2,
-    transcript_digest,
-    verify_confirm,
-)
-from .contract import GpmContract
-from .errors import (
-    AuthFailure,
-    AuthRejected,
-    ConfirmFailed,
-    ContractError,
-    CryptoError,
-    DecryptFailure,
-    DuplicateTransaction,
-    InvalidElement,
-    InvalidScalar,
-    LedgerError,
-    MalformedRecord,
-    NotOnLedger,
-    PdidError,
-    RateLimited,
-    StaleSession,
-    UnknownUser,
-    UsernameTaken,
-    WrongPassword,
-)
-from .ledger import InclusionProof, Ledger, Transaction
-from .wire import PasswordMetadata, TxKind
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ClientSession",
-    "ServerSession",
-    "build_metadata",
-    "client_auth_finish",
-    "client_auth_init",
-    "client_register",
-    "client_update",
-    "key_confirm",
-    "server_auth_phase1",
-    "server_auth_phase2",
-    "transcript_digest",
-    "verify_confirm",
-    "GpmContract",
-    "InclusionProof",
-    "Ledger",
-    "Transaction",
-    "PasswordMetadata",
-    "TxKind",
-    "AuthFailure",
-    "AuthRejected",
-    "ConfirmFailed",
-    "ContractError",
-    "CryptoError",
-    "DecryptFailure",
-    "DuplicateTransaction",
-    "InvalidElement",
-    "InvalidScalar",
-    "LedgerError",
-    "MalformedRecord",
-    "NotOnLedger",
-    "PdidError",
-    "RateLimited",
-    "StaleSession",
-    "UnknownUser",
-    "UsernameTaken",
-    "WrongPassword",
-    "actors",
-    "adversary",
-    "contract",
-    "crypto",
-    "ledger",
-    "oprf",
-    "wire",
-    "__version__",
-]

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import hmac as _hmac
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from . import crypto, oprf
-from .errors import AuthFailure, StaleSession, WrongPassword
-from .ledger import Transaction
+from .contract import GpmContract
+from .errors import AuthFailure, ConfirmFailed, StaleSession, WrongPassword
+from .ledger import Ledger, Transaction
 from .wire import (
     GpmAuthRequest,
     GpmAuthResponse,
@@ -298,3 +299,65 @@ def verify_confirm(
     """Check the peer's confirmation tag (constant-time comparison)."""
     expected = key_confirm(expected_role, session_key, transcript)
     return _hmac.compare_digest(expected, tag)
+
+
+# ---------------------------------------------------------------------------
+# Full-protocol drivers.
+# ---------------------------------------------------------------------------
+
+
+def run_register(gpm: GpmContract, ledger: Ledger, username, password) -> None:
+    tx = client_register(username, password, gpm.public_key)
+    proof = ledger.append(tx)
+    gpm.new_pdid(tx, proof)
+
+
+def run_login(
+    gpm: GpmContract,
+    ledger: Ledger,
+    username,
+    password,
+    server_id,
+    observe: Optional[Callable[[str, Optional[bytes]], None]] = None,
+    tamper: Optional[Callable[[ServerToUser], ServerToUser]] = None,
+) -> Tuple[bytes, bytes]:
+    """One complete login with mutual key confirmation.
+
+    `observe(stage, data)` is called after each stage, in this order:
+    "user->server" (init bytes), "server->ledger" (auth tx payload),
+    "ledger" (None, after the append), "gpm->server" (reply ciphertext),
+    "server->user" (delivered bytes) and "client" (None, after
+    `client_auth_finish`). Returns (client session key, server session
+    key); raises ConfirmFailed if either confirmation tag fails (as it does
+    under tampering).
+    """
+    observe = observe or (lambda stage, data: None)
+    client, init = client_auth_init(username, password)
+    observe("user->server", init.encode())
+    server, tx = server_auth_phase1(server_id, init, gpm.public_key)
+    observe("server->ledger", tx.payload)
+    proof = ledger.append(tx)
+    observe("ledger", None)
+    reply_ct = gpm.auth_pdid(tx, proof)
+    observe("gpm->server", reply_ct)
+    server_key, sent = server_auth_phase2(server, reply_ct)
+    delivered = tamper(sent) if tamper is not None else sent
+    observe("server->user", delivered.encode())
+    client_key = client_auth_finish(client, password, server_id, delivered)
+    observe("client", None)
+
+    client_transcript = transcript_digest(server_id, init, delivered)
+    server_transcript = transcript_digest(server_id, init, sent)
+    client_tag = key_confirm("client", client_key, client_transcript)
+    if not verify_confirm(server_key, server_transcript, client_tag, "client"):
+        raise ConfirmFailed("client confirmation tag rejected")
+    server_tag = key_confirm("server", server_key, server_transcript)
+    if not verify_confirm(client_key, client_transcript, server_tag, "server"):
+        raise ConfirmFailed("server confirmation tag rejected")
+    return client_key, server_key
+
+
+def run_update(gpm: GpmContract, ledger: Ledger, username, old_password, new_password) -> None:
+    tx = client_update(username, old_password, new_password, gpm.public_key)
+    proof = ledger.append(tx)
+    gpm.update_pdid(tx, proof)

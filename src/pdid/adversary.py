@@ -11,6 +11,7 @@ Three attacker positions are modeled:
 
 Each probe returns plain data; the accompanying tests assert the expected
 outcome (rejections, zero confirmations, no plaintext identifiers).
+`run_attack` stages the `pdid attack` drills on top of these probes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import actors, crypto, oprf
 from .contract import GpmContract
-from .errors import NotOnLedger, PdidError
+from .errors import (
+    ConfirmFailed,
+    DuplicateTransaction,
+    NotOnLedger,
+    PdidError,
+    RateLimited,
+    UsernameTaken,
+    WrongPassword,
+)
 from .ledger import InclusionProof, Ledger, Transaction, attestation_message
 from .wire import decode_message
 
@@ -85,7 +94,11 @@ def capture_server_view(
 ) -> Dict[str, bytes]:
     """Run one honest login and return every byte the server handled,
     including its own secrets. This is the complete haul available to a
-    compromised server for later offline analysis."""
+    compromised server for later offline analysis.
+
+    The flow is written out here rather than taken from `actors.run_login`
+    because it reads the server session's secrets (ephemeral scalar, reply
+    key) between the phases, which no other caller needs."""
     client, init = actors.client_auth_init(username, password)
     server, tx = actors.server_auth_phase1(server_id, init, gpm.public_key)
     reply_secret = server.reply_keypair.secret
@@ -172,11 +185,11 @@ class ObserverReport:
 
 
 def observe_trace(
-    trace: Sequence[Tuple[str, bytes]],
+    trace: Sequence[Tuple[str, Optional[bytes]]],
     sensitive: Sequence[bytes],
     ledger_bytes: Optional[bytes] = None,
 ) -> ObserverReport:
-    """Scan a captured trace.
+    """Scan a captured trace of (channel, bytes or None) entries.
 
     Contract-facing payloads must not parse as any plaintext message and must
     not contain any of the `sensitive` byte strings (usernames, server
@@ -185,6 +198,8 @@ def observe_trace(
     """
     report = ObserverReport()
     for channel, data in trace:
+        if data is None:  # a stage with no message, e.g. the ledger append
+            continue
         report.sizes.append((channel, len(data)))
         if channel not in OPAQUE_CHANNELS:
             continue
@@ -204,3 +219,107 @@ def observe_trace(
             if needle and needle in ledger_bytes:
                 report.violations.append("ledger file: sensitive bytes visible")
     return report
+
+
+# ---------------------------------------------------------------------------
+# Attack drills: each scenario against a fresh in-memory deployment.
+# ---------------------------------------------------------------------------
+
+ATTACK_SCENARIOS = (
+    "duplicate-register",
+    "offline-gpm",
+    "malicious-server-tamper",
+    "replay",
+    "online-guess",
+)
+
+
+def run_attack(scenario: str) -> dict:
+    """Stage one adversarial scenario against a fresh in-memory deployment.
+
+    Result dict always contains `defense_held`; details vary per scenario.
+    """
+    sim_now = [1000.0]
+    ledger = Ledger()
+    gpm = GpmContract.create(ledger.tx_included, clock=lambda: sim_now[0])
+    result = {"scenario": scenario}
+
+    if scenario == "duplicate-register":
+        result["expected"] = "second registration rejected; first password still logs in"
+        actors.run_register(gpm, ledger, b"race-user", b"first-pw")
+        try:
+            actors.run_register(gpm, ledger, b"race-user", b"second-pw")
+            second = "accepted"
+        except UsernameTaken:
+            second = "rejected"
+        client_key, server_key = actors.run_login(gpm, ledger, b"race-user", b"first-pw", b"host")
+        first_pw_works = client_key == server_key
+        result["observed"] = (
+            f"second registration {second}; "
+            f"first password {'works' if first_pw_works else 'broken'}"
+        )
+        result["defense_held"] = second == "rejected" and first_pw_works
+
+    elif scenario == "offline-gpm":
+        n = 100
+        result["expected"] = f"{n}/{n} off-ledger probes rejected, 0 evaluated"
+        actors.run_register(gpm, ledger, b"probe-target", b"real-password")
+        leaked = ledger.leak_node_seeds(ledger.f)
+        candidates = [f"guess-{i}".encode() for i in range(n - 1)] + [b"real-password"]
+        outcomes = malicious_node_offline_probe(gpm, leaked, b"probe-target", candidates)
+        rejections = outcomes.count("rejected")
+        result["observed"] = f"{rejections}/{n} rejected"
+        result["defense_held"] = rejections == n
+
+    elif scenario == "malicious-server-tamper":
+        result["expected"] = "substituted key share detected at key confirmation"
+        actors.run_register(gpm, ledger, b"tamper-user", b"tamper-pw")
+        fake_share = crypto.base_exp(crypto.random_scalar())
+
+        def tamper(msg: actors.ServerToUser) -> actors.ServerToUser:
+            return actors.ServerToUser(msg.evaluated_element, fake_share, msg.envelope)
+
+        try:
+            actors.run_login(gpm, ledger, b"tamper-user", b"tamper-pw", b"host", tamper=tamper)
+            result["observed"] = "tampered keys accepted"
+            result["defense_held"] = False
+        except ConfirmFailed:
+            result["observed"] = "tampering detected at key confirmation"
+            result["defense_held"] = True
+
+    elif scenario == "replay":
+        result["expected"] = "replayed transaction rejected at ledger append"
+        actors.run_register(gpm, ledger, b"replay-user", b"replay-pw")
+        _, init = actors.client_auth_init(b"replay-user", b"replay-pw")
+        _, tx = actors.server_auth_phase1(b"host", init, gpm.public_key)
+        ledger.append(tx)
+        try:
+            ledger.append(tx)
+            result["observed"] = "replayed transaction accepted"
+            result["defense_held"] = False
+        except DuplicateTransaction:
+            result["observed"] = "replayed transaction rejected at append"
+            result["defense_held"] = True
+
+    elif scenario == "online-guess":
+        result["expected"] = "10 wrong-password rejections, then rate-limited on the 11th"
+        actors.run_register(gpm, ledger, b"guess-target", b"correct-horse")
+        outcomes = []
+        for i in range(11):
+            sim_now[0] += 0.5  # rapid-fire attempts inside one window
+            try:
+                actors.run_login(gpm, ledger, b"guess-target", f"wrong-{i}".encode(), b"host")
+                outcomes.append("login-succeeded")
+            except WrongPassword:
+                outcomes.append("wrong-password")
+            except RateLimited:
+                outcomes.append("rate-limited")
+        result["observed"] = ", ".join(outcomes)
+        result["defense_held"] = (
+            outcomes[:10] == ["wrong-password"] * 10 and outcomes[10] == "rate-limited"
+        )
+
+    else:
+        raise ValueError(f"unknown attack scenario: {scenario}")
+
+    return result

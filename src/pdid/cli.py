@@ -1,6 +1,7 @@
 """Command-line harness: deploy a ledger plus contract, then drive
 registration, login, password update, attack scenarios, and benchmarks
-against it.
+against it. The protocol flows are `actors.run_register`, `run_login` and
+`run_update`; the attack drills are `adversary.run_attack`.
 
 Deployment state lives in files named by a JSON config: the ledger record
 file, the sealed contract state, the sealing key, and the contract public
@@ -17,34 +18,22 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from collections import defaultdict
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional
 
 from . import __version__, actors, adversary, crypto
+from .actors import run_login, run_register, run_update
+from .adversary import ATTACK_SCENARIOS
 from .contract import GpmContract
-from .errors import (
-    AuthRejected,
-    ConfirmFailed,
-    DuplicateTransaction,
-    PdidError,
-    RateLimited,
-    UsernameTaken,
-    WrongPassword,
-)
+from .errors import AuthRejected, PdidError
 from .ledger import Ledger
 from .wire import UpdatePlaintext
 
 PASSWORD_ENV = "PDID_PASSWORD"
 NEW_PASSWORD_ENV = "PDID_NEW_PASSWORD"
-
-ATTACK_SCENARIOS = (
-    "duplicate-register",
-    "offline-gpm",
-    "malicious-server-tamper",
-    "replay",
-    "online-guess",
-)
 
 # Reference timings (milliseconds) and sizes (bytes) from the original
 # evaluation of this design, reported alongside measurements for comparison.
@@ -103,11 +92,8 @@ class Config:
         return cfg
 
     def write_defaults(self, path: str) -> None:
-        defaults = {
-            name: getattr(Config(), name) for name in Config.__dataclass_fields__
-        }
         with open(path, "w") as fh:
-            json.dump(defaults, fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
             fh.write("\n")
 
 
@@ -119,11 +105,17 @@ class Deployment:
     sealing_key: bytes
 
     def save(self) -> None:
+        # A temp file of its own, so concurrent commands never rename away each other's.
         sealed = self.gpm.seal(self.sealing_key)
-        tmp = self.config.sealed_state_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(sealed)
-        os.replace(tmp, self.config.sealed_state_path)
+        path = self.config.sealed_state_path
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=os.path.basename(path) + ".")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(sealed)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def load_config(path: str) -> Config:
@@ -154,173 +146,6 @@ def load_deployment(config: Config) -> Deployment:
     return Deployment(config, ledger, gpm, sealing_key)
 
 
-def ephemeral_deployment(
-    rate_limit: Tuple[int, float] = (10, 60.0),
-    clock: Callable[[], float] = time.time,
-) -> Tuple[Ledger, GpmContract]:
-    """In-memory ledger and contract for attack and bench runs."""
-    ledger = Ledger()
-    gpm = GpmContract.create(ledger.tx_included, rate_limit=rate_limit, clock=clock)
-    return ledger, gpm
-
-
-# ---------------------------------------------------------------------------
-# Full-protocol drivers shared by commands, attacks, and tests.
-# ---------------------------------------------------------------------------
-
-
-def run_register(gpm: GpmContract, ledger: Ledger, username, password) -> None:
-    tx = actors.client_register(username, password, gpm.public_key)
-    proof = ledger.append(tx)
-    gpm.new_pdid(tx, proof)
-
-
-def run_login(
-    gpm: GpmContract,
-    ledger: Ledger,
-    username,
-    password,
-    server_id,
-    trace: Optional[List[Tuple[str, bytes]]] = None,
-    tamper: Optional[Callable[[actors.ServerToUser], actors.ServerToUser]] = None,
-) -> Tuple[bytes, bytes]:
-    """One complete login with mutual key confirmation.
-
-    Returns (client session key, server session key); raises ConfirmFailed
-    if either confirmation tag fails (as it does under tampering).
-    """
-    client, init = actors.client_auth_init(username, password)
-    if trace is not None:
-        trace.append(("user->server", init.encode()))
-    server, tx = actors.server_auth_phase1(server_id, init, gpm.public_key)
-    if trace is not None:
-        trace.append(("server->ledger", tx.payload))
-    proof = ledger.append(tx)
-    reply_ct = gpm.auth_pdid(tx, proof)
-    if trace is not None:
-        trace.append(("gpm->server", reply_ct))
-    server_key, sent = actors.server_auth_phase2(server, reply_ct)
-    delivered = tamper(sent) if tamper is not None else sent
-    if trace is not None:
-        trace.append(("server->user", delivered.encode()))
-    client_key = actors.client_auth_finish(client, password, server_id, delivered)
-
-    client_transcript = actors.transcript_digest(server_id, init, delivered)
-    server_transcript = actors.transcript_digest(server_id, init, sent)
-    client_tag = actors.key_confirm("client", client_key, client_transcript)
-    if not actors.verify_confirm(server_key, server_transcript, client_tag, "client"):
-        raise ConfirmFailed("client confirmation tag rejected")
-    server_tag = actors.key_confirm("server", server_key, server_transcript)
-    if not actors.verify_confirm(client_key, client_transcript, server_tag, "server"):
-        raise ConfirmFailed("server confirmation tag rejected")
-    return client_key, server_key
-
-
-def run_update(gpm: GpmContract, ledger: Ledger, username, old_password, new_password) -> None:
-    tx = actors.client_update(username, old_password, new_password, gpm.public_key)
-    proof = ledger.append(tx)
-    gpm.update_pdid(tx, proof)
-
-
-# ---------------------------------------------------------------------------
-# Attack scenarios.
-# ---------------------------------------------------------------------------
-
-
-def run_attack(scenario: str) -> dict:
-    """Stage one adversarial scenario against a fresh in-memory deployment.
-
-    Result dict always contains `defense_held`; details vary per scenario.
-    """
-    sim_now = [1000.0]
-    ledger, gpm = ephemeral_deployment(clock=lambda: sim_now[0])
-    result = {"scenario": scenario}
-
-    if scenario == "duplicate-register":
-        result["expected"] = "second registration rejected; first password still logs in"
-        tx1 = actors.client_register(b"race-user", b"first-pw", gpm.public_key)
-        tx2 = actors.client_register(b"race-user", b"second-pw", gpm.public_key)
-        gpm.new_pdid(tx1, ledger.append(tx1))
-        try:
-            gpm.new_pdid(tx2, ledger.append(tx2))
-            second = "accepted"
-        except UsernameTaken:
-            second = "rejected"
-        client_key, server_key = run_login(gpm, ledger, b"race-user", b"first-pw", b"host")
-        first_pw_works = client_key == server_key
-        result["observed"] = (
-            f"second registration {second}; "
-            f"first password {'works' if first_pw_works else 'broken'}"
-        )
-        result["defense_held"] = second == "rejected" and first_pw_works
-
-    elif scenario == "offline-gpm":
-        n = 100
-        result["expected"] = f"{n}/{n} off-ledger probes rejected, 0 evaluated"
-        run_register(gpm, ledger, b"probe-target", b"real-password")
-        leaked = ledger.leak_node_seeds(ledger.f)
-        candidates = [f"guess-{i}".encode() for i in range(n - 1)] + [b"real-password"]
-        outcomes = adversary.malicious_node_offline_probe(
-            gpm, leaked, b"probe-target", candidates
-        )
-        rejections = outcomes.count("rejected")
-        result["observed"] = f"{rejections}/{n} rejected"
-        result["defense_held"] = rejections == n
-
-    elif scenario == "malicious-server-tamper":
-        result["expected"] = "substituted key share detected at key confirmation"
-        run_register(gpm, ledger, b"tamper-user", b"tamper-pw")
-        fake_share = crypto.base_exp(crypto.random_scalar())
-
-        def tamper(msg: actors.ServerToUser) -> actors.ServerToUser:
-            return actors.ServerToUser(msg.evaluated_element, fake_share, msg.envelope)
-
-        try:
-            run_login(gpm, ledger, b"tamper-user", b"tamper-pw", b"host", tamper=tamper)
-            result["observed"] = "tampered keys accepted"
-            result["defense_held"] = False
-        except ConfirmFailed:
-            result["observed"] = "tampering detected at key confirmation"
-            result["defense_held"] = True
-
-    elif scenario == "replay":
-        result["expected"] = "replayed transaction rejected at ledger append"
-        run_register(gpm, ledger, b"replay-user", b"replay-pw")
-        _, init = actors.client_auth_init(b"replay-user", b"replay-pw")
-        _, tx = actors.server_auth_phase1(b"host", init, gpm.public_key)
-        ledger.append(tx)
-        try:
-            ledger.append(tx)
-            result["observed"] = "replayed transaction accepted"
-            result["defense_held"] = False
-        except DuplicateTransaction:
-            result["observed"] = "replayed transaction rejected at append"
-            result["defense_held"] = True
-
-    elif scenario == "online-guess":
-        result["expected"] = "10 wrong-password rejections, then rate-limited on the 11th"
-        run_register(gpm, ledger, b"guess-target", b"correct-horse")
-        outcomes = []
-        for i in range(11):
-            sim_now[0] += 0.5  # rapid-fire attempts inside one window
-            try:
-                run_login(gpm, ledger, b"guess-target", f"wrong-{i}".encode(), b"host")
-                outcomes.append("login-succeeded")
-            except WrongPassword:
-                outcomes.append("wrong-password")
-            except RateLimited:
-                outcomes.append("rate-limited")
-        result["observed"] = ", ".join(outcomes)
-        result["defense_held"] = (
-            outcomes[:10] == ["wrong-password"] * 10 and outcomes[10] == "rate-limited"
-        )
-
-    else:
-        raise UsageError(f"unknown attack scenario: {scenario}")
-
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Benchmark.
 # ---------------------------------------------------------------------------
@@ -335,30 +160,36 @@ def _stats(samples: List[float]) -> dict:
     }
 
 
+LOGIN_STAGES = (
+    "client_auth_init",
+    "server_phase1",
+    "ledger_append",
+    "gpm_auth",
+    "server_phase2",
+    "client_auth_finish",
+)
+
+
 def run_benchmark(iterations: int = 50) -> dict:
     """Time every protocol stage over fresh users and report sizes.
 
-    Measured numbers sit next to the reference timings so regressions and
-    instantiation differences stay visible.
+    Each login is one `run_login`: its observer stamps the end of each of
+    the six `LOGIN_STAGES`, and the bytes it is handed give the message
+    sizes. Measured numbers sit next to the reference timings so
+    regressions and instantiation differences stay visible.
     """
-    ledger, gpm = ephemeral_deployment()
-    raw: dict[str, List[float]] = {
-        name: []
-        for name in (
-            "client_register",
-            "gpm_register",
-            "client_auth_init",
-            "server_phase1",
-            "gpm_auth",
-            "server_phase2",
-            "client_auth_finish",
-            "client_auth_total",
-            "server_auth_total",
-            "login_roundtrip",
-        )
-    }
+    ledger = Ledger()
+    gpm = GpmContract.create(ledger.tx_included)
+    raw: Dict[str, List[float]] = defaultdict(list)
     server_id = b"bench.example"
     perf = time.perf_counter
+    stamps: List[float] = []
+    seen: Dict[str, Optional[bytes]] = {}
+
+    def observe(stage: str, data: Optional[bytes]) -> None:
+        stamps.append(perf())
+        seen[stage] = data
+
     for i in range(iterations):
         username = f"bench-user-{i:06d}".encode()
         password = f"bench-pw-{i}".encode()
@@ -373,67 +204,35 @@ def run_benchmark(iterations: int = 50) -> dict:
         raw["client_register"].append(t1 - t0)
         raw["gpm_register"].append(t3 - t2)
 
-        l0 = perf()
-        client, init = actors.client_auth_init(username, password)
-        l1 = perf()
-        server, atx = actors.server_auth_phase1(server_id, init, gpm.public_key)
-        l2 = perf()
-        aproof = ledger.append(atx)
-        l3 = perf()
-        reply = gpm.auth_pdid(atx, aproof)
-        l4 = perf()
-        server_key, sent = actors.server_auth_phase2(server, reply)
-        l5 = perf()
-        client_key = actors.client_auth_finish(client, password, server_id, sent)
-        l6 = perf()
-        transcript = actors.transcript_digest(server_id, init, sent)
-        ctag = actors.key_confirm("client", client_key, transcript)
-        assert actors.verify_confirm(server_key, transcript, ctag, "client")
-        stag = actors.key_confirm("server", server_key, transcript)
-        assert actors.verify_confirm(client_key, transcript, stag, "server")
-        l7 = perf()
+        stamps[:] = [perf()]
+        run_login(gpm, ledger, username, password, server_id, observe=observe)
+        stamps.append(perf())
+        # Seven spans; the last, key confirmation, counts in the round trip only.
+        stage = dict(zip(LOGIN_STAGES, (b - a for a, b in zip(stamps, stamps[1:]))))
+        for name, secs in stage.items():
+            raw[name].append(secs)
+        raw["client_auth_total"].append(stage["client_auth_init"] + stage["client_auth_finish"])
+        raw["server_auth_total"].append(stage["server_phase1"] + stage["server_phase2"])
+        raw["login_roundtrip"].append(stamps[-1] - stamps[0])
 
-        raw["client_auth_init"].append(l1 - l0)
-        raw["server_phase1"].append(l2 - l1)
-        raw["gpm_auth"].append(l4 - l3)
-        raw["server_phase2"].append(l5 - l4)
-        raw["client_auth_finish"].append(l6 - l5)
-        raw["client_auth_total"].append((l1 - l0) + (l6 - l5))
-        raw["server_auth_total"].append((l2 - l1) + (l5 - l4))
-        raw["login_roundtrip"].append(l7 - l0)
-
-    # Byte sizes for a representative login, frozen-format widths.
-    username = b"sizing-user"
-    password = b"sizing-pw"
-    run_register(gpm, ledger, username, password)
-    client, init = actors.client_auth_init(username, password)
-    server, atx = actors.server_auth_phase1(server_id, init, gpm.public_key)
-    reply = gpm.auth_pdid(atx, ledger.append(atx))
-    _, sent = actors.server_auth_phase2(server, reply)
-    state_len = len(
-        actors.ClientSession(
-            username, crypto.random_scalar(), crypto.random_scalar(),
-            crypto.base_exp(crypto.random_scalar()),
-        ).ephemeral_state_bytes()
-    )
+    # Byte sizes from the last user's messages, frozen-format widths.
+    state_len = len(actors.client_auth_init(username, password)[0].ephemeral_state_bytes())
     meta = actors.build_metadata(password)
     update_pt = UpdatePlaintext(username, password, meta)
+    auth_tx, reply = seen["server->ledger"], seen["gpm->server"]
     sizes = {
-        "user_auth_init": len(init.encode()),
-        "server_to_user": len(sent.encode()),
-        "registration_plaintext": None,  # filled below from a rebuilt message
+        "user_auth_init": len(seen["user->server"]),
+        "server_to_user": len(seen["server->user"]),
+        "registration_plaintext": len(tx.payload) - crypto.PKE_OVERHEAD,
         "update_plaintext": len(update_pt.encode()),
         "metadata_record": len(meta.encode()),
         "client_ephemeral_state": state_len,
-        "register_tx_payload": None,
-        "auth_tx_payload": len(atx.payload),
+        "register_tx_payload": len(tx.payload),
+        "auth_tx_payload": len(auth_tx),
         "gpm_reply_ciphertext": len(reply),
+        "gpm_auth_request_plaintext": len(auth_tx) - crypto.PKE_OVERHEAD,
+        "gpm_auth_response_plaintext": len(reply) - crypto.PKE_OVERHEAD,
     }
-    rtx = actors.client_register(b"sizing-user-2", password, gpm.public_key)
-    sizes["register_tx_payload"] = len(rtx.payload)
-    sizes["registration_plaintext"] = len(rtx.payload) - crypto.PKE_OVERHEAD
-    sizes["gpm_auth_request_plaintext"] = len(atx.payload) - crypto.PKE_OVERHEAD
-    sizes["gpm_auth_response_plaintext"] = len(reply) - crypto.PKE_OVERHEAD
 
     timings = {name: _stats(samples) for name, samples in raw.items()}
     noise_flags = sorted(
@@ -485,6 +284,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def _error_code(exc: PdidError) -> str:
+    # Unknown-user and wrong-password collapse to one opaque code.
     if isinstance(exc, AuthRejected):
         return AuthRejected.public_code
     name = type(exc).__name__
@@ -586,10 +386,12 @@ def cmd_update(args) -> dict:
 
 
 def cmd_attack(args) -> dict:
-    return run_attack(args.scenario)
+    return adversary.run_attack(args.scenario)
 
 
 def cmd_bench(args) -> dict:
+    if args.iterations < 1:
+        raise UsageError("--iterations must be at least 1")
     return run_benchmark(args.iterations)
 
 
@@ -658,10 +460,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AuthRejected:
-        # Unknown-user and wrong-password collapse to one opaque code here.
-        _emit({"status": "failed", "error": AuthRejected.public_code}, args.as_json)
-        return 1
     except PdidError as exc:
         _emit({"status": "failed", "error": _error_code(exc)}, args.as_json)
         return 1

@@ -379,7 +379,9 @@ def test_criterion_10_ledger_free_of_identities_over_100_sessions(tmp_path):
         sensitive += [username, server_id]
         register(gpm, ledger, username, password)
         trace = []
-        cli.run_login(gpm, ledger, username, password, server_id, trace=trace)
+        actors.run_login(
+            gpm, ledger, username, password, server_id, observe=lambda *e: trace.append(e)
+        )
         traces.extend(trace)
     ledger.close()
     with open(path, "rb") as fh:

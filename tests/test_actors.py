@@ -262,3 +262,41 @@ def test_transcript_digest_binds_every_component():
         to_user.evaluated_element, other_point, to_user.envelope
     )
     assert base != actors.transcript_digest(b"srv.example", init, swapped_reply)
+
+
+# ---------------------------------------------------------------------------
+# Full-protocol driver.
+# ---------------------------------------------------------------------------
+
+LOGIN_STAGES = ["user->server", "server->ledger", "ledger", "gpm->server", "server->user", "client"]
+
+
+def test_run_login_observer_reports_six_stages_in_order():
+    ledger, gpm = fresh()
+    register(gpm, ledger, b"observed", b"pw")
+    events = []
+    client_key, server_key = actors.run_login(
+        gpm, ledger, b"observed", b"pw", b"srv.example",
+        observe=lambda stage, data: events.append((stage, data, len(ledger))),
+    )
+    assert client_key == server_key
+    assert [stage for stage, _, _ in events] == LOGIN_STAGES
+    data = {stage: value for stage, value, _ in events}
+    assert data["ledger"] is None and data["client"] is None
+    for stage in ("user->server", "server->ledger", "gpm->server", "server->user"):
+        assert isinstance(data[stage], bytes) and data[stage]
+    # "ledger" is reported once the auth transaction is on the ledger.
+    ledger_len = {stage: n for stage, _, n in events}
+    assert ledger_len["server->ledger"] == 1 and ledger_len["ledger"] == 2
+
+
+def test_run_login_observer_stops_where_the_login_fails():
+    ledger, gpm = fresh()
+    register(gpm, ledger, b"observed", b"pw")
+    stages = []
+    with pytest.raises(WrongPassword):
+        actors.run_login(
+            gpm, ledger, b"observed", b"wrong", b"srv.example",
+            observe=lambda stage, data: stages.append(stage),
+        )
+    assert stages == LOGIN_STAGES[:-1]

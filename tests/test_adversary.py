@@ -140,10 +140,10 @@ def test_envelope_opens_only_under_contract_assisted_key():
 
 
 def run_traced_login(gpm, ledger, username, password, server_id):
-    from pdid.cli import run_login
-
     trace = []
-    run_login(gpm, ledger, username, password, server_id, trace=trace)
+    actors.run_login(
+        gpm, ledger, username, password, server_id, observe=lambda *e: trace.append(e)
+    )
     return trace
 
 

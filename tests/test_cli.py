@@ -1,12 +1,17 @@
 """The command-line harness: exit codes, JSON output, deployments on disk."""
 
 import getpass
+import inspect
 import json
 import os
+import sys
+import threading
 
 import pytest
 
-from pdid import cli
+from pdid import actors, cli
+from pdid.contract import GpmContract
+from pdid.ledger import Ledger
 
 
 @pytest.fixture
@@ -105,6 +110,53 @@ def test_unknown_user_and_wrong_password_indistinguishable(config_path, capsys, 
     assert wrong_pw == no_user == {"status": "failed", "error": "authentication-failed"}
 
 
+def test_concurrent_saves_do_not_collide(config_path, capsys):
+    # Each thread stands for one command process saving the same deployment.
+    run(["--config", config_path, "init"], capsys)
+    errors = []
+
+    def save_loop():
+        dep = cli.load_deployment(cli.load_config(config_path))
+        try:
+            for _ in range(200):
+                dep.save()
+        except Exception as exc:  # collected, asserted below
+            errors.append(exc)
+        finally:
+            dep.ledger.close()
+
+    threads = [threading.Thread(target=save_loop) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(os.listdir(os.path.dirname(config_path))) == [
+        "contract_pk.hex", "deploy.json", "gpm.sealed", "ledger.log", "sealing.key",
+    ]
+
+
+def test_failed_save_leaves_no_temp_file(config_path, capsys, monkeypatch):
+    run(["--config", config_path, "init"], capsys)
+    dep = cli.load_deployment(cli.load_config(config_path))
+    before = sorted(os.listdir(os.path.dirname(config_path)))
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        dep.save()
+    dep.ledger.close()
+    assert sorted(os.listdir(os.path.dirname(config_path))) == before
+
+
 def test_failed_attempts_persist_across_processes(tmp_path, capsys, monkeypatch):
     # Each CLI call reloads sealed state; rate-limit counters must survive.
     config = str(tmp_path / "deploy.json")
@@ -136,6 +188,10 @@ def test_bad_scenario_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["attack", "not-a-scenario"])
     assert exc.value.code == 2
+
+
+def test_bench_without_iterations_is_usage_error(capsys):
+    assert cli.main(["bench", "--iterations", "0"]) == 2
 
 
 def test_no_password_source_is_usage_error(config_path, capsys, monkeypatch):
@@ -188,6 +244,46 @@ def test_bench_json_structure(capsys):
     assert out["derived"]["server_auths_per_sec"] > 0
     assert isinstance(out["noise_flags"], list)
     assert out["reference_sizes_bytes"]["metadata_record"] == 260
+
+
+def test_bench_sizes_are_the_observed_login_bytes(capsys):
+    _, out = run_json(["bench", "--iterations", "2"], capsys)
+    ledger = Ledger()
+    gpm = GpmContract.create(ledger.tx_included)
+    username = b"bench-user-000000"  # as long as the bench's own users
+    cli.run_register(gpm, ledger, username, b"pw")
+    seen = {}
+    cli.run_login(gpm, ledger, username, b"pw", b"srv", observe=seen.__setitem__)
+    sizes = out["sizes_bytes"]
+    assert sizes["user_auth_init"] == len(seen["user->server"])
+    assert sizes["auth_tx_payload"] == len(seen["server->ledger"])
+    assert sizes["gpm_reply_ciphertext"] == len(seen["gpm->server"])
+    assert sizes["server_to_user"] == len(seen["server->user"])
+
+
+def test_bench_login_stages_are_disjoint_parts_of_the_round_trip(capsys):
+    _, out = run_json(["bench", "--iterations", "5"], capsys)
+    t = out["timings_ms"]
+    assert t["ledger_append"]["mean_ms"] > 0
+    stages = (
+        "client_auth_init", "server_phase1", "ledger_append",
+        "gpm_auth", "server_phase2", "client_auth_finish",
+    )
+    assert sum(t[s]["mean_ms"] for s in stages) <= t["login_roundtrip"]["mean_ms"]
+
+
+def test_benchmark_entry_points_stay_bound():
+    # perfbench/run.py and perfbench/tracing.py look these up on pdid.cli.
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(cli.run_register) == ["gpm", "ledger", "username", "password"]
+    assert params(cli.run_update) == [
+        "gpm", "ledger", "username", "old_password", "new_password",
+    ]
+    assert cli.run_login is actors.run_login
+    assert callable(cli.load_config) and callable(cli.load_deployment)
+    assert callable(cli.Deployment.__dict__["save"])
 
 
 # ---------------------------------------------------------------------------
