@@ -15,19 +15,21 @@ error codes; plaintext metadata never crosses the boundary.
 
 State can be sealed to disk under a symmetric key (the stand-in for an
 enclave sealing key) and restored later, preserving users and the
-rate-limit window.
+rate-limit window. Each user's metadata is held as its encoded record
+(FORMATS.md, tag 7) and decoded only by the method that uses it, so a
+restore touches no record beyond its tag and length.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import crypto, oprf
 from .errors import (
     AuthFailure,
+    CryptoError,
     MalformedRecord,
     NotOnLedger,
     RateLimited,
@@ -37,6 +39,8 @@ from .errors import (
 )
 from .ledger import InclusionProof, Transaction
 from .wire import (
+    METADATA_LEN,
+    MSG_METADATA,
     MSG_SEALED_STATE,
     GpmAuthRequest,
     GpmAuthResponse,
@@ -61,22 +65,24 @@ class GpmContract:
 
     `tx_verifier` is the ledger inclusion check; `clock` supplies the
     simulated time used by the rate limiter (injected so replays and tests
-    are deterministic).
+    are deterministic). `users` maps usernames to encoded metadata records;
+    `attempts` maps usernames to the times of their charged attempts, oldest
+    first.
     """
 
     def __init__(
         self,
         keypair: crypto.KeyPair,
-        users: Optional[Dict[bytes, PasswordMetadata]] = None,
-        attempts: Optional[Dict[bytes, Deque[float]]] = None,
+        users: Optional[Dict[bytes, bytes]] = None,
+        attempts: Optional[Dict[bytes, List[float]]] = None,
         *,
         tx_verifier: TxVerifier,
         clock: Callable[[], float] = time.time,
         rate_limit: Tuple[int, float] = DEFAULT_RATE_LIMIT,
     ) -> None:
         self._keypair = keypair
-        self._users: Dict[bytes, PasswordMetadata] = users if users is not None else {}
-        self._attempts: Dict[bytes, Deque[float]] = attempts if attempts is not None else {}
+        self._users: Dict[bytes, bytes] = users if users is not None else {}
+        self._attempts: Dict[bytes, List[float]] = attempts if attempts is not None else {}
         self._tx_verifier = tx_verifier
         self._clock = clock
         self.rate_limit = rate_limit
@@ -115,6 +121,18 @@ class GpmContract:
             raise MalformedRecord("transaction kind does not match method")
         return crypto.pk_decrypt(self._keypair.secret, tx.payload)
 
+    def _metadata(self, username: bytes) -> PasswordMetadata:
+        """Decode the one stored record a method uses. Unseal checked only
+        its tag and length, so a bad field is refused here, before the
+        method changes any state."""
+        record = self._users.get(username)
+        if record is None:
+            raise UnknownUser("no metadata for this username")
+        try:
+            return decode_metadata(record)
+        except CryptoError as exc:
+            raise MalformedRecord("stored metadata record is corrupt") from exc
+
     def _recent_attempts(self, username: bytes, now: float) -> int:
         """Prune the username's window to `now` and count what is left. A
         window left empty is dropped, so only usernames with live charged
@@ -123,8 +141,10 @@ class GpmContract:
         if times is None:
             return 0
         window = self.rate_limit[1]
-        while times and now - times[0] > window:
-            times.popleft()
+        expired = 0
+        while expired < len(times) and now - times[expired] > window:
+            expired += 1
+        del times[:expired]
         if not times:
             del self._attempts[username]
         return len(times)
@@ -134,7 +154,7 @@ class GpmContract:
             raise RateLimited("too many recent attempts for this username")
 
     def _charge(self, username: bytes, now: float) -> None:
-        self._attempts.setdefault(username, deque()).append(now)
+        self._attempts.setdefault(username, []).append(now)
 
     # -- contract methods ------------------------------------------------------
 
@@ -144,7 +164,7 @@ class GpmContract:
         msg = decode_expected(plaintext, RegistrationPlaintext)
         if msg.username in self._users:
             raise UsernameTaken("metadata already stored for this username")
-        self._users[msg.username] = msg.metadata
+        self._users[msg.username] = msg.metadata.encode()
 
     def auth_pdid(self, tx: Transaction, proof: InclusionProof) -> bytes:
         """Authenticate: run the contract half of the key exchange.
@@ -155,9 +175,7 @@ class GpmContract:
         """
         plaintext = self._gate(tx, proof, TxKind.AUTH)
         msg = decode_expected(plaintext, GpmAuthRequest)
-        meta = self._users.get(msg.username)
-        if meta is None:
-            raise UnknownUser("no metadata for this username")
+        meta = self._metadata(msg.username)
         now = self._clock()
         self._check_rate(msg.username, now)
         self._charge(msg.username, now)
@@ -191,9 +209,7 @@ class GpmContract:
         """
         plaintext = self._gate(tx, proof, TxKind.UPDATE)
         msg = decode_expected(plaintext, UpdatePlaintext)
-        meta = self._users.get(msg.username)
-        if meta is None:
-            raise UnknownUser("no metadata for this username")
+        meta = self._metadata(msg.username)
         now = self._clock()
         self._check_rate(msg.username, now)
 
@@ -211,7 +227,7 @@ class GpmContract:
         if not verified:
             self._charge(msg.username, now)
             raise WrongPassword("old password verification failed")
-        self._users[msg.username] = msg.new_metadata
+        self._users[msg.username] = msg.new_metadata.encode()
 
     # -- sealing ---------------------------------------------------------------
 
@@ -227,13 +243,11 @@ class GpmContract:
         users_parts = [struct.pack(">I", len(self._users))]
         for username in sorted(self._users):
             users_parts.append(pack_field(username))
-            users_parts.append(pack_field(self._users[username].encode()))
+            users_parts.append(pack_field(self._users[username]))
         attempt_parts = [struct.pack(">I", len(self._attempts))]
         for username in sorted(self._attempts):
             times = self._attempts[username]
-            blob = struct.pack(">I", len(times)) + b"".join(
-                struct.pack(">d", t) for t in times
-            )
+            blob = struct.pack(f">I{len(times)}d", len(times), *times)
             attempt_parts.append(pack_field(username))
             attempt_parts.append(pack_field(blob))
         state = bytes([MSG_SEALED_STATE]) + b"".join(
@@ -269,15 +283,18 @@ class GpmContract:
         if len(secret) != crypto.BOX_SECRET_LEN or len(public) != crypto.BOX_PUBLIC_LEN:
             raise MalformedRecord("bad contract keypair lengths")
 
-        users: Dict[bytes, PasswordMetadata] = {}
+        users: Dict[bytes, bytes] = {}
         ur = Reader(users_blob)
         (count,) = struct.unpack(">I", ur.take(4))
         for _ in range(count):
             username = ur.field()
-            users[username] = decode_metadata(ur.field())
+            record = ur.field()
+            if len(record) != METADATA_LEN or record[0] != MSG_METADATA:
+                raise MalformedRecord("bad metadata record")
+            users[username] = record
         ur.expect_done()
 
-        attempts: Dict[bytes, Deque[float]] = {}
+        attempts: Dict[bytes, List[float]] = {}
         ar = Reader(attempts_blob)
         (count,) = struct.unpack(">I", ar.take(4))
         for _ in range(count):
@@ -286,10 +303,7 @@ class GpmContract:
             (n_times,) = struct.unpack(">I", blob_times[:4])
             if len(blob_times) != 4 + 8 * n_times:
                 raise MalformedRecord("bad attempt record")
-            attempts[username] = deque(
-                struct.unpack(">d", blob_times[4 + 8 * i : 12 + 8 * i])[0]
-                for i in range(n_times)
-            )
+            attempts[username] = list(struct.unpack(f">{n_times}d", blob_times[4:]))
         ar.expect_done()
 
         return cls(

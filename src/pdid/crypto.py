@@ -5,15 +5,15 @@ encodings, a labeled hash usable both as a digest and as a map into the
 group, a PRF, symmetric authenticated encryption, public-key encryption, and
 detached signatures for ledger attestations.
 
-The group is NIST P-256 implemented here directly (Jacobian coordinates,
-windowed multiplication, batch-normalized fixed-base table) so that element
+The group is NIST P-256 behind this module's own types, so that element
 encodings stay at 33 bytes and the protocol layer can treat the group as an
 opaque module boundary; swapping curves means editing only this file.
-Decoding a compressed element (decompression and the on-curve check) is
-delegated to OpenSSL through `cryptography`; the group arithmetic is not.
-Symmetric and box primitives are delegated to the `cryptography` package:
-ChaCha20-Poly1305 for AEAD, X25519 + ChaCha20-Poly1305 for public-key boxes,
-Ed25519 for detached signatures.
+Scalar multiplication and decoding (decompression and the on-curve check)
+run in OpenSSL through `cryptography`, so secret scalars go through its
+constant-time ladders; only point addition and the hash-to-group map are
+Python field arithmetic. Symmetric and box primitives are delegated to the
+`cryptography` package: ChaCha20-Poly1305 for AEAD, X25519 +
+ChaCha20-Poly1305 for public-key boxes, Ed25519 for detached signatures.
 
 All randomness flows through :func:`random_bytes`, which can be swapped for a
 deterministic stream in tests via :func:`set_insecure_seed`.
@@ -29,8 +29,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ec import (
+    ECDH,
     SECP256R1,
     EllipticCurvePublicKey,
+    derive_private_key,
 )
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
@@ -131,164 +133,20 @@ _B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
 _GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 _GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 
-# Jacobian point at infinity is represented as Z = 0.
-_J_INF = (1, 1, 0)
 
-
-def _jdbl(X1: int, Y1: int, Z1: int) -> tuple[int, int, int]:
-    # dbl-2001-b for a = -3.
+def _add(x1: int, y1: int, x2: int, y2: int) -> tuple[Optional[int], Optional[int]]:
+    """Affine sum of two non-identity points; (None, None) is the identity.
+    Equal x means the points are equal (doubling) or inverse (identity),
+    since P-256 has no point with y = 0."""
     p = _P
-    if not Z1 or not Y1:
-        return _J_INF
-    delta = Z1 * Z1 % p
-    gamma = Y1 * Y1 % p
-    beta = X1 * gamma % p
-    alpha = 3 * (X1 - delta) * (X1 + delta) % p
-    X3 = (alpha * alpha - 8 * beta) % p
-    Z3 = ((Y1 + Z1) * (Y1 + Z1) - gamma - delta) % p
-    Y3 = (alpha * (4 * beta - X3) - 8 * gamma * gamma) % p
-    return (X3, Y3, Z3)
-
-
-def _jadd(X1: int, Y1: int, Z1: int, X2: int, Y2: int, Z2: int) -> tuple[int, int, int]:
-    p = _P
-    if not Z1:
-        return (X2, Y2, Z2)
-    if not Z2:
-        return (X1, Y1, Z1)
-    Z1Z1 = Z1 * Z1 % p
-    Z2Z2 = Z2 * Z2 % p
-    U1 = X1 * Z2Z2 % p
-    U2 = X2 * Z1Z1 % p
-    S1 = Y1 * Z2 * Z2Z2 % p
-    S2 = Y2 * Z1 * Z1Z1 % p
-    if U1 == U2:
-        if S1 != S2:
-            return _J_INF
-        return _jdbl(X1, Y1, Z1)
-    H = (U2 - U1) % p
-    I = 4 * H * H % p
-    J = H * I % p
-    r = 2 * (S2 - S1) % p
-    V = U1 * I % p
-    X3 = (r * r - J - 2 * V) % p
-    Y3 = (r * (V - X3) - 2 * S1 * J) % p
-    Z3 = ((Z1 + Z2) * (Z1 + Z2) - Z1Z1 - Z2Z2) * H % p
-    return (X3, Y3, Z3)
-
-
-def _jadd_affine(X1: int, Y1: int, Z1: int, x2: int, y2: int) -> tuple[int, int, int]:
-    # Mixed addition (second operand affine, Z2 = 1).
-    p = _P
-    if not Z1:
-        return (x2, y2, 1)
-    Z1Z1 = Z1 * Z1 % p
-    U2 = x2 * Z1Z1 % p
-    S2 = y2 * Z1 * Z1Z1 % p
-    if U2 == X1:
-        if S2 != Y1:
-            return _J_INF
-        return _jdbl(X1, Y1, Z1)
-    H = (U2 - X1) % p
-    HH = H * H % p
-    I = 4 * HH % p
-    J = H * I % p
-    r = 2 * (S2 - Y1) % p
-    V = X1 * I % p
-    X3 = (r * r - J - 2 * V) % p
-    Y3 = (r * (V - X3) - 2 * Y1 * J) % p
-    Z3 = ((Z1 + H) * (Z1 + H) - Z1Z1 - HH) % p
-    return (X3, Y3, Z3)
-
-
-def _to_affine(X: int, Y: int, Z: int) -> tuple[Optional[int], Optional[int]]:
-    if not Z:
-        return (None, None)
-    p = _P
-    zi = pow(Z, p - 2, p)
-    zi2 = zi * zi % p
-    return (X * zi2 % p, Y * zi2 % p * zi % p)
-
-
-def _window_mult(k: int, x: int, y: int) -> tuple[Optional[int], Optional[int]]:
-    # 4-bit fixed window over Jacobian coordinates.
-    if k == 0:
-        return (None, None)
-    tbl = [None] * 16
-    tbl[1] = (x, y, 1)
-    tbl[2] = _jdbl(x, y, 1)
-    for i in range(3, 16):
-        tbl[i] = _jadd(*tbl[i - 1], x, y, 1)
-    X, Y, Z = _J_INF
-    started = False
-    for shift in range(252, -4, -4):
-        if started:
-            X, Y, Z = _jdbl(X, Y, Z)
-            X, Y, Z = _jdbl(X, Y, Z)
-            X, Y, Z = _jdbl(X, Y, Z)
-            X, Y, Z = _jdbl(X, Y, Z)
-        d = (k >> shift) & 15 if shift >= 0 else 0
-        if d:
-            X, Y, Z = _jadd(X, Y, Z, *tbl[d])
-            started = True
-    return _to_affine(X, Y, Z)
-
-
-_BASE_TABLE: Optional[list[list[tuple[int, int]]]] = None
-
-
-def _base_table() -> list[list[tuple[int, int]]]:
-    # Fixed-base comb: table[i][d-1] = (d * 16^i) * G in affine coordinates,
-    # batch-normalized with a single field inversion.
-    global _BASE_TABLE
-    if _BASE_TABLE is not None:
-        return _BASE_TABLE
-    p = _P
-    rows_j: list[list[tuple[int, int, int]]] = []
-    bx, by, bz = _GX, _GY, 1
-    for _ in range(64):
-        row = [(bx, by, bz)]
-        px, py, pz = bx, by, bz
-        for _ in range(14):
-            px, py, pz = _jadd(px, py, pz, bx, by, bz)
-            row.append((px, py, pz))
-        rows_j.append(row)
-        for _ in range(4):
-            bx, by, bz = _jdbl(bx, by, bz)
-    flat = [pt for row in rows_j for pt in row]
-    prefix = [1]
-    acc = 1
-    for _, _, z in flat:
-        acc = acc * z % p
-        prefix.append(acc)
-    inv = pow(acc, p - 2, p)
-    affine: list[Optional[tuple[int, int]]] = [None] * len(flat)
-    for idx in range(len(flat) - 1, -1, -1):
-        X, Y, Z = flat[idx]
-        zi = prefix[idx] * inv % p
-        inv = inv * Z % p
-        zi2 = zi * zi % p
-        affine[idx] = (X * zi2 % p, Y * zi2 % p * zi % p)
-    _BASE_TABLE = [
-        [affine[i * 15 + d] for d in range(15)] for i in range(64)
-    ]
-    return _BASE_TABLE
-
-
-def _base_mult(k: int) -> tuple[Optional[int], Optional[int]]:
-    if k == 0:
-        return (None, None)
-    tbl = _base_table()
-    X, Y, Z = _J_INF
-    i = 0
-    while k:
-        d = k & 15
-        if d:
-            ax, ay = tbl[i][d - 1]
-            X, Y, Z = _jadd_affine(X, Y, Z, ax, ay)
-        k >>= 4
-        i += 1
-    return _to_affine(X, Y, Z)
+    if x1 == x2:
+        if y1 != y2:
+            return (None, None)
+        slope = (3 * x1 * x1 + _A) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return (x3, (slope * (x1 - x3) - y1) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +241,41 @@ def random_scalar() -> Scalar:
 
 
 def base_exp(e: Scalar) -> GroupElement:
-    """Generator raised to e."""
-    x, y = _base_mult(e.value)
-    return GroupElement(x, y)
+    """Generator raised to e (OpenSSL's constant-time fixed-base ladder)."""
+    if e.value == 0:
+        return IDENTITY
+    raw = derive_private_key(e.value, _CURVE).public_key().public_bytes(
+        Encoding.X962, PublicFormat.UncompressedPoint
+    )
+    return GroupElement(int.from_bytes(raw[1:33], "big"), int.from_bytes(raw[33:], "big"))
+
+
+def _ecdh_x(k: int, public: EllipticCurvePublicKey) -> int:
+    return int.from_bytes(derive_private_key(k, _CURVE).exchange(ECDH(), public), "big")
 
 
 def exp(b: GroupElement, e: Scalar) -> GroupElement:
-    """b raised to e; identity base or zero exponent give the identity."""
-    if b.x is None or e.value == 0:
+    """b raised to e; identity base or zero exponent give the identity.
+
+    OpenSSL's ECDH ladder yields only x-coordinates, so this takes
+    x1 = x(eB) and x2 = x((e+1)B) and recovers y1 from the curve's
+    addition law (Brier and Joye, PKC 2002):
+    y1 = (2b + (a + x*x1)(x + x1) - x2*(x - x1)^2) / (2y).
+    e = n - 1 is the one case with (e+1)B at infinity; eB is then -B.
+    """
+    k = e.value
+    if b.x is None or k == 0:
         return IDENTITY
-    x, y = _window_mult(e.value, b.x, b.y)
-    return GroupElement(x, y)
+    if k == GROUP_ORDER - 1:
+        return GroupElement(b.x, _P - b.y)
+    x, y, p = b.x, b.y, _P
+    public = EllipticCurvePublicKey.from_encoded_point(
+        _CURVE, b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
+    )
+    x1 = _ecdh_x(k, public)
+    x2 = _ecdh_x(k + 1, public)
+    num = 2 * _B + (_A + x * x1) * (x + x1) - x2 * (x - x1) ** 2
+    return GroupElement(x1, num * pow(2 * y, -1, p) % p)
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -402,8 +284,7 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
         return b
     if b.x is None:
         return a
-    X, Y, Z = _jadd(a.x, a.y, 1, b.x, b.y, 1)
-    x, y = _to_affine(X, Y, Z)
+    x, y = _add(a.x, a.y, b.x, b.y)
     return GroupElement(x, y)
 
 
@@ -419,7 +300,7 @@ def scalar_invert(s: Scalar) -> Scalar:
     """Multiplicative inverse mod the group order; zero is refused."""
     if s.value == 0:
         raise InvalidScalar("zero has no inverse")
-    return Scalar(pow(s.value, GROUP_ORDER - 2, GROUP_ORDER))
+    return Scalar(pow(s.value, -1, GROUP_ORDER))
 
 
 def scalar_from_digest(d: bytes) -> Scalar:
@@ -485,10 +366,7 @@ def hash_to_group(label: Label, parts: Sequence[bytes]) -> GroupElement:
     for i in (1, 2):
         raw = hashlib.sha512(b"hash-to-group" + bytes([i]) + framed).digest()
         us.append(int.from_bytes(raw[:48], "big") % _P)
-    x1, y1 = _sswu(us[0])
-    x2, y2 = _sswu(us[1])
-    X, Y, Z = _jadd(x1, y1, 1, x2, y2, 1)
-    x, y = _to_affine(X, Y, Z)
+    x, y = _add(*_sswu(us[0]), *_sswu(us[1]))
     return GroupElement(x, y)
 
 
@@ -619,8 +497,16 @@ def sig_public(secret: bytes) -> bytes:
     )
 
 
-def sign(secret: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+def signing_key(secret: bytes) -> Ed25519PrivateKey:
+    """Key object for a signing seed; build it once for repeated signing."""
+    return Ed25519PrivateKey.from_private_bytes(secret)
+
+
+def sign(secret: Union[bytes, Ed25519PrivateKey], message: bytes) -> bytes:
+    """Sign with a 32-byte seed or, skipping the key setup, a signing_key."""
+    if isinstance(secret, bytes):
+        secret = signing_key(secret)
+    return secret.sign(message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:

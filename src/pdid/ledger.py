@@ -48,18 +48,26 @@ class Transaction:
 
     @staticmethod
     def decode(data: bytes) -> "Transaction":
-        # Fixed offsets (FORMATS.md): tag, u16 kind length 1, kind, u16
-        # payload length that must fill the rest of the record exactly.
-        if len(data) < 6 or data[0] != MSG_TRANSACTION:
-            raise MalformedRecord("not a transaction record")
-        if data[1] != 0 or data[2] != 1:
-            raise MalformedRecord("bad kind field")
-        kind = _KINDS.get(data[3])
-        if kind is None:
-            raise MalformedRecord("unknown transaction kind")
-        if int.from_bytes(data[4:6], "big") != len(data) - 6:
-            raise MalformedRecord("payload length does not match record")
-        return Transaction(kind, data[6:])
+        kind, payload = _parse_record(data, 0, len(data))
+        return Transaction(_KINDS[kind], payload)
+
+
+def _parse_record(data: bytes, start: int, end: int) -> tuple[int, bytes]:
+    """(kind value, payload) of the transaction record data[start:end].
+
+    Fixed offsets (FORMATS.md): tag, u16 kind length 1, kind, u16 payload
+    length that must fill the rest of the record exactly.
+    """
+    if end - start < 6 or data[start] != MSG_TRANSACTION:
+        raise MalformedRecord("not a transaction record")
+    if data[start + 1] != 0 or data[start + 2] != 1:
+        raise MalformedRecord("bad kind field")
+    kind = data[start + 3]
+    if kind not in _KINDS:
+        raise MalformedRecord("unknown transaction kind")
+    if int.from_bytes(data[start + 4 : start + 6], "big") != end - start - 6:
+        raise MalformedRecord("payload length does not match record")
+    return kind, data[start + 6 : end]
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,22 +86,25 @@ def attestation_message(tx_id: bytes, seq: int) -> bytes:
 class _Node:
     """One simulated consensus node: an index and a signing key."""
 
-    __slots__ = ("index", "seed", "public")
+    __slots__ = ("index", "seed", "public", "_key")
 
     def __init__(self, index: int, seed: bytes) -> None:
         self.index = index
         self.seed = seed
         self.public = crypto.sig_public(seed)
+        self._key = crypto.signing_key(seed)
 
     def attest(self, tx_id: bytes, seq: int) -> bytes:
-        return crypto.sign(self.seed, attestation_message(tx_id, seq))
+        return crypto.sign(self._key, attestation_message(tx_id, seq))
 
 
 class Ledger:
     """Append-only transaction log with quorum attestation.
 
     Appends are serialized through one lock; reads work on the immutable
-    prefix so verification can run concurrently.
+    prefix so verification can run concurrently. The log is held as two
+    parallel columns, payloads and kind bytes, with no object per record;
+    `transaction_at` and `snapshot` rebuild Transaction objects on demand.
     """
 
     def __init__(
@@ -113,10 +124,11 @@ class Ledger:
         self.n_nodes = n_nodes
         self.f = f
         self.nodes = [_Node(i, seed) for i, seed in enumerate(node_seeds)]
-        self._log: list[Transaction] = []
+        self._payloads: list[bytes] = []
+        self._kinds = bytearray()
         # Keyed on payloads: the tx id hashes the payload alone, so equal
         # payloads are equal ids, and reload need not hash every record.
-        self._payloads: set[bytes] = set()
+        self._seen: set[bytes] = set()
         self._lock = threading.Lock()
         self.path = path
         self._fh = _fh
@@ -154,6 +166,7 @@ class Ledger:
         if any(len(s) != 32 for s in seeds):
             raise LedgerError("truncated node seeds")
         ledger = cls(n_nodes, f, node_seeds=seeds, path=path)
+        payloads, kinds = ledger._payloads, ledger._kinds
         end = len(blob)
         while pos < end:
             if pos + 4 > end:
@@ -161,10 +174,11 @@ class Ledger:
             rec_end = pos + 4 + int.from_bytes(blob[pos : pos + 4], "big")
             if rec_end > end:
                 raise LedgerError("truncated record")
-            tx = Transaction.decode(blob[pos + 4 : rec_end])
+            kind, payload = _parse_record(blob, pos + 4, rec_end)
             pos = rec_end
-            ledger._log.append(tx)
-            ledger._payloads.add(tx.payload)
+            kinds.append(kind)
+            payloads.append(payload)
+        ledger._seen.update(payloads)
         ledger._fh = open(path, "ab")
         return ledger
 
@@ -178,11 +192,14 @@ class Ledger:
     def append(self, tx: Transaction) -> InclusionProof:
         """Admit a new transaction and return its quorum inclusion proof."""
         with self._lock:
-            if tx.payload in self._payloads:
+            if tx.payload in self._seen:
                 raise DuplicateTransaction("transaction id already on ledger")
-            seq = len(self._log)
-            self._log.append(tx)
-            self._payloads.add(tx.payload)
+            seq = len(self._payloads)
+            # Kind first: len() counts payloads, so readers never see a
+            # payload without its kind.
+            self._kinds.append(tx.kind)
+            self._payloads.append(tx.payload)
+            self._seen.add(tx.payload)
             if self._fh is not None:
                 record = tx.encode()
                 self._fh.write(struct.pack(">I", len(record)) + record)
@@ -198,9 +215,9 @@ class Ledger:
         signatures from distinct known nodes."""
         if proof.tx_id != tx.id:
             return False
-        if not 0 <= proof.seq < len(self._log):
+        if not 0 <= proof.seq < len(self._payloads):
             return False
-        if self._log[proof.seq].payload != tx.payload:
+        if self._payloads[proof.seq] != tx.payload:
             return False
         message = attestation_message(proof.tx_id, proof.seq)
         valid = set()
@@ -214,14 +231,14 @@ class Ledger:
     # -- inspection --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._log)
+        return len(self._payloads)
 
     def snapshot(self) -> tuple[Transaction, ...]:
         """Immutable view of the current log prefix."""
-        return tuple(self._log)
+        return tuple(Transaction(_KINDS[k], p) for k, p in zip(self._kinds, self._payloads))
 
     def transaction_at(self, seq: int) -> Transaction:
-        return self._log[seq]
+        return Transaction(_KINDS[self._kinds[seq]], self._payloads[seq])
 
     def node_public_keys(self) -> list[bytes]:
         return [node.public for node in self.nodes]

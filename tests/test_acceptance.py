@@ -222,14 +222,14 @@ def test_criterion_6_update_100_trials_and_byte_identical_on_failure():
             old_rejected = True
         client_key, server_key = login(gpm, ledger, username, new_pw)
 
-        before = gpm._users[username].encode()
+        before = gpm._users[username]
         bad = actors.client_update(username, b"not-the-password", b"evil", gpm.public_key)
         wrong_rejected = False
         try:
             gpm.update_pdid(bad, ledger.append(bad))
         except WrongPassword:
             wrong_rejected = True
-        untouched = gpm._users[username].encode() == before
+        untouched = gpm._users[username] == before
 
         if old_rejected and client_key == server_key and wrong_rejected and untouched:
             good += 1

@@ -3,6 +3,7 @@
 from pdid import actors, adversary, crypto
 from pdid.contract import GpmContract
 from pdid.ledger import Ledger
+from pdid.wire import decode_metadata
 
 
 def fresh():
@@ -107,7 +108,7 @@ def test_server_view_excludes_password_secrets():
     view = adversary.capture_server_view(
         gpm, ledger, b"alice", b"a long password value", b"srv"
     )
-    meta = gpm._users[b"alice"]
+    meta = decode_metadata(gpm._users[b"alice"])
     blob = b"|".join(view.values())
     assert b"a long password value" not in blob.replace(view["username"], b"")
     assert meta.oprf_key.encode() not in blob
@@ -130,7 +131,7 @@ def test_envelope_opens_only_under_contract_assisted_key():
     ledger, gpm = fresh()
     register(gpm, ledger, b"alice", b"true-password")
     view = adversary.capture_server_view(gpm, ledger, b"alice", b"true-password", b"srv")
-    real_key = oprf.oprf_eval(gpm._users[b"alice"].oprf_key, b"true-password")
+    real_key = oprf.oprf_eval(decode_metadata(gpm._users[b"alice"]).oprf_key, b"true-password")
     assert crypto.aead_decrypt(real_key, view["envelope"])
 
 

@@ -1,5 +1,7 @@
 """The identity contract: registration, authentication, update, sealing."""
 
+import tracemalloc
+
 import pytest
 
 from pdid import actors, crypto, oprf
@@ -15,7 +17,7 @@ from pdid.errors import (
     WrongPassword,
 )
 from pdid.ledger import InclusionProof, Ledger, Transaction
-from pdid.wire import GpmAuthResponse, TxKind, decode_expected
+from pdid.wire import GpmAuthResponse, TxKind, decode_expected, decode_metadata
 
 
 def fresh(clock=None, rate_limit=(10, 60.0)):
@@ -104,7 +106,7 @@ def test_auth_reply_decrypts_to_session_response():
     assert len(reply.session_key) == crypto.KEY_LEN
     # The evaluated element is the OPRF evaluation of the blinded point.
     assert reply.evaluated_element == oprf.evaluate(
-        session.blinded_element, gpm._users[b"alice"].oprf_key
+        session.blinded_element, decode_metadata(gpm._users[b"alice"]).oprf_key
     )
 
 
@@ -227,20 +229,20 @@ def test_rate_windows_hold_only_charged_unexpired_attempts(manual_clock):
 def test_update_replaces_metadata():
     ledger, gpm = fresh()
     register(gpm, ledger, b"alice", b"old-pw")
-    before = gpm._users[b"alice"].encode()
+    before = gpm._users[b"alice"]
     tx = actors.client_update(b"alice", b"old-pw", b"new-pw", gpm.public_key)
     gpm.update_pdid(tx, ledger.append(tx))
-    assert gpm._users[b"alice"].encode() != before
+    assert gpm._users[b"alice"] != before
 
 
 def test_update_wrong_password_leaves_metadata_byte_identical():
     ledger, gpm = fresh()
     register(gpm, ledger, b"alice", b"old-pw")
-    before = gpm._users[b"alice"].encode()
+    before = gpm._users[b"alice"]
     tx = actors.client_update(b"alice", b"not-the-pw", b"new-pw", gpm.public_key)
     with pytest.raises(WrongPassword):
         gpm.update_pdid(tx, ledger.append(tx))
-    assert gpm._users[b"alice"].encode() == before
+    assert gpm._users[b"alice"] == before
 
 
 def test_update_unknown_user():
@@ -307,3 +309,21 @@ def test_sealed_blob_changes_with_state():
     empty = gpm.seal(key)
     register(gpm, ledger, b"alice", b"pw")
     assert gpm.seal(key) != empty
+
+
+def test_contract_keeps_at_most_400_bytes_per_registered_user(seeded):
+    # The encoded record is 300 B as a bytes object; decoded metadata objects
+    # kept about 845 B per user.
+    ledger, gpm = fresh()
+    txs = [actors.client_register(f"user-{i:05d}", b"pw", gpm.public_key) for i in range(300)]
+    proofs = [ledger.append(tx) for tx in txs]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for tx, proof in zip(txs, proofs):
+            gpm.new_pdid(tx, proof)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert gpm.user_count() == len(txs)
+    assert retained / len(txs) <= 400

@@ -241,6 +241,71 @@ def test_element_decode_matches_reference(seeded):
     assert 80 < valid < len(encodings) - 100
 
 
+# Independent reference for the group law: affine double-and-add in pure
+# Python (None is the identity), so exp, base_exp and mul are not checked
+# against OpenSSL alone.
+P256_N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+P256_G = (
+    0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
+    0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
+)
+EDGE_SCALARS = (1, 2, P256_N - 2, P256_N - 1)
+
+
+def reference_add(p1, p2):
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2 and (y1 + y2) % P256_P == 0:
+        return None
+    if p1 == p2:
+        slope = (3 * x1 * x1 - 3) * pow(2 * y1, -1, P256_P)
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, P256_P)
+    x3 = (slope * slope - x1 - x2) % P256_P
+    return (x3, (slope * (x1 - x3) - y1) % P256_P)
+
+
+def reference_mult(k, point):
+    acc = None
+    while k:
+        if k & 1:
+            acc = reference_add(acc, point)
+        point = reference_add(point, point)
+        k >>= 1
+    return acc
+
+
+def as_pair(element):
+    return None if element.is_identity else (element.x, element.y)
+
+
+def test_group_operations_match_affine_reference(seeded):
+    scalars = [crypto.random_scalar().value for _ in range(30)] + list(EDGE_SCALARS)
+    bases = [reference_mult(crypto.random_scalar().value, P256_G) for _ in range(6)]
+    bases.append(P256_G)
+    for k in scalars:
+        assert as_pair(crypto.base_exp(crypto.Scalar(k))) == reference_mult(k, P256_G)
+    cases = [(bases[i % len(bases)], k) for i, k in enumerate(scalars)]
+    cases += [(base, k) for base in bases[:3] for k in EDGE_SCALARS]
+    for base, k in cases:
+        ours = crypto.exp(crypto.GroupElement(*base), crypto.Scalar(k))
+        assert as_pair(ours) == reference_mult(k, base)
+    for a, b in zip(bases, bases[1:] + bases[:1]):
+        ours = crypto.mul(crypto.GroupElement(*a), crypto.GroupElement(*b))
+        assert as_pair(ours) == reference_add(a, b)
+
+
+def test_mul_doubling_and_inverse():
+    p = crypto.base_exp(crypto.random_scalar())
+    negated = crypto.GroupElement(p.x, P256_P - p.y)
+    assert crypto.mul(p, p) == crypto.exp(p, crypto.Scalar(2))
+    assert crypto.mul(p, negated) == crypto.IDENTITY
+    assert crypto.exp(p, crypto.Scalar(P256_N - 1)) == negated
+
+
 def test_golden_base_point_multiple():
     assert crypto.base_exp(crypto.Scalar(12345)).encode().hex() == GOLDEN_BASE_12345
 

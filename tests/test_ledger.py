@@ -1,5 +1,8 @@
 """Append-only ledger: quorum proofs, duplicates, persistence, forgeries."""
 
+import sys
+import tracemalloc
+
 import pytest
 
 from pdid import crypto
@@ -209,3 +212,24 @@ def test_transaction_id_depends_only_on_payload():
     c = Transaction(TxKind.AUTH, b"other")
     assert a.id == b.id
     assert a.id != c.id
+
+
+def test_reloaded_ledger_keeps_at_most_120_bytes_per_record_beyond_payload(tmp_path):
+    # Every pdid command reloads the whole log, so per-record objects cost
+    # both memory and reload time.
+    path = str(tmp_path / "ledger.bin")
+    ledger = Ledger.create(path)
+    payloads = [crypto.random_bytes(280) for _ in range(3000)]
+    for payload in payloads:
+        ledger.append(Transaction(TxKind.AUTH, payload))
+    ledger.close()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reloaded = Ledger.open(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    reloaded.close()
+    beyond_payload = retained - sum(sys.getsizeof(p) for p in payloads)
+    assert beyond_payload / len(payloads) <= 120
