@@ -8,10 +8,12 @@ detached signatures for ledger attestations.
 The group is NIST P-256 behind this module's own types, so that element
 encodings stay at 33 bytes and the protocol layer can treat the group as an
 opaque module boundary; swapping curves means editing only this file.
-Scalar multiplication and decoding (decompression and the on-curve check)
+Scalar multiplication and point decompression (with its on-curve check)
 run in OpenSSL through `cryptography`, so secret scalars go through its
-constant-time ladders; only point addition and the hash-to-group map are
-Python field arithmetic. Symmetric and box primitives are delegated to the
+constant-time ladders. Decoding and the hash-to-group map take their square
+roots from that decompression (`_lift_x`), so point addition is the only
+Python field arithmetic left, besides the map's one inversion and few
+products per input. Symmetric and box primitives are delegated to the
 `cryptography` package: ChaCha20-Poly1305 for AEAD, X25519 +
 ChaCha20-Poly1305 for public-key boxes, Ed25519 for detached signatures.
 
@@ -208,19 +210,32 @@ GENERATOR = GroupElement(_GX, _GY)
 _CURVE = SECP256R1()
 
 
+def _lift_x(x: int, parity: int) -> Optional[int]:
+    """The y of parity `parity` with (x, y) on the curve, or None if x has
+    no point (x^3 + ax + b a non-residue). OpenSSL's point decompression;
+    x must be below the field prime."""
+    try:
+        point = EllipticCurvePublicKey.from_encoded_point(
+            _CURVE, bytes([2 | parity]) + x.to_bytes(32, "big")
+        )
+    except ValueError:
+        return None
+    return point.public_numbers().y
+
+
 def decode_element(data: bytes) -> GroupElement:
     """Decode a compressed element, enforcing membership; identity refused."""
     if len(data) != ELEMENT_LEN:
         raise InvalidElement("element encoding must be 33 bytes")
     if data[0] not in (2, 3):
         raise InvalidElement("bad compression prefix")
-    if int.from_bytes(data[1:], "big") >= _P:
+    x = int.from_bytes(data[1:], "big")
+    if x >= _P:
         raise InvalidElement("x out of field range")
-    try:
-        point = EllipticCurvePublicKey.from_encoded_point(_CURVE, data).public_numbers()
-    except ValueError as exc:
-        raise InvalidElement("x has no point on the curve") from exc
-    return GroupElement(point.x, point.y)
+    y = _lift_x(x, data[0] & 1)
+    if y is None:
+        raise InvalidElement("x has no point on the curve")
+    return GroupElement(x, y)
 
 
 def decode_scalar(data: bytes) -> Scalar:
@@ -334,29 +349,26 @@ def hash_parts(label: Label, parts: Sequence[bytes]) -> bytes:
     return hashlib.sha256(_frame(label, parts)).digest()
 
 
+# Simplified SWU map for P-256 (RFC 9380 section 6.6.2, Z = -10). Its
+# constants: -B/A, and x1 = B/(Z*A) for the inputs with tv = 0.
+_Z = _P - 10
+_MINUS_B_OVER_A = -_B * pow(_A, -1, _P) % _P
+_X1_EXCEPTIONAL = _B * pow(_Z * _A, -1, _P) % _P
+
+
 def _sswu(u: int) -> tuple[int, int]:
-    # Simplified SWU map for P-256 (Z = -10), p = 3 mod 4 square roots.
+    """x1 = -B/A * (1 + 1/tv) if it has a point, else x2 = Z*u^2*x1, which
+    then always has one; y takes the parity of u."""
     p = _P
-    A, B = _A, _B
-    Z = p - 10
-    zu2 = Z * u * u % p
+    zu2 = _Z * u * u % p
     tv = (zu2 * zu2 + zu2) % p
-    if tv == 0:
-        x1 = B * pow(Z * A % p, p - 2, p) % p
-    else:
-        x1 = B * pow(A, p - 2, p) % p * (p - 1 - pow(tv, p - 2, p)) % p
-    gx1 = (x1 * x1 % p * x1 + A * x1 + B) % p
-    y1 = pow(gx1, (p + 1) // 4, p)
-    if y1 * y1 % p == gx1:
-        x, y = x1, y1
-    else:
-        x2 = zu2 * x1 % p
-        gx2 = (x2 * x2 % p * x2 + A * x2 + B) % p
-        y2 = pow(gx2, (p + 1) // 4, p)
-        x, y = x2, y2
-    if (u & 1) != (y & 1):
-        y = p - y
-    return (x, y)
+    x1 = _MINUS_B_OVER_A * (1 + pow(tv, -1, p)) % p if tv else _X1_EXCEPTIONAL
+    parity = u & 1
+    y = _lift_x(x1, parity)
+    if y is not None:
+        return (x1, y)
+    x2 = zu2 * x1 % p
+    return (x2, _lift_x(x2, parity))
 
 
 def hash_to_group(label: Label, parts: Sequence[bytes]) -> GroupElement:

@@ -9,6 +9,9 @@ import hashlib
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_formats import off_curve_x
 
 from pdid import crypto
 from pdid.errors import (
@@ -344,6 +347,86 @@ def test_hash_to_group_membership_and_determinism():
 def test_hash_to_group_not_identity():
     for i in range(32):
         assert crypto.hash_to_group("t", [i.to_bytes(2, "big")]).x is not None
+
+
+# Independent reference for the hash-to-group map: the simplified SWU map
+# with Fermat inversions and (p+1)/4 square roots in pure Python. Returns
+# the point and whether the x2 branch was taken.
+P256_A = P256_P - 3
+P256_Z = P256_P - 10
+
+
+def reference_sswu(u):
+    p, a, b, z = P256_P, P256_A, P256_B, P256_Z
+    zu2 = z * u * u % p
+    tv = (zu2 * zu2 + zu2) % p
+    if tv == 0:
+        x1 = b * pow(z * a % p, p - 2, p) % p
+    else:
+        x1 = b * pow(a, p - 2, p) % p * (p - 1 - pow(tv, p - 2, p)) % p
+    gx1 = (x1 * x1 % p * x1 + a * x1 + b) % p
+    y1 = pow(gx1, (p + 1) // 4, p)
+    if y1 * y1 % p == gx1:
+        x, y, used_x2 = x1, y1, False
+    else:
+        x = zu2 * x1 % p
+        y, used_x2 = pow((x * x % p * x + a * x + b) % p, (p + 1) // 4, p), True
+    if (u & 1) != (y & 1):
+        y = p - y
+    return (x, y), used_x2
+
+
+def curve_rhs(x):
+    return (x * x * x + P256_A * x + P256_B) % P256_P
+
+
+def test_sswu_matches_reference(seeded):
+    root = pow(pow(10, -1, P256_P), (P256_P + 1) // 4, P256_P)
+    assert root * root % P256_P == pow(10, -1, P256_P)  # 1/10 is a square
+    # u = 0 and u = +-sqrt(1/10) are the inputs with tv = 0.
+    edges = [0, root, P256_P - root, 1, P256_P - 1]
+    us = edges + [
+        int.from_bytes(crypto.random_bytes(48), "big") % P256_P for _ in range(2000)
+    ]
+    branches = set()
+    for u in us:
+        (x, y), used_x2 = reference_sswu(u)
+        assert crypto._sswu(u) == (x, y), u
+        assert y & 1 == u & 1
+        assert y * y % P256_P == curve_rhs(x)
+        branches.add(used_x2)
+    assert branches == {False, True}
+
+
+def test_lift_x_matches_euler_criterion(seeded):
+    xs = [int.from_bytes(off_curve_x(), "big"), P256_G[0], 0, P256_P - 1]
+    xs += [int.from_bytes(crypto.random_bytes(32), "big") % P256_P for _ in range(300)]
+    lifted = 0
+    for x in xs:
+        residue = pow(curve_rhs(x), (P256_P - 1) // 2, P256_P) == 1
+        for parity in (0, 1):
+            y = crypto._lift_x(x, parity)
+            if not residue:
+                assert y is None, x
+                continue
+            assert y is not None and y & 1 == parity
+            assert y * y % P256_P == curve_rhs(x)
+            lifted += 1
+    assert 100 < lifted < 2 * len(xs) - 100
+
+
+@settings(deadline=None)
+@given(st.one_of(st.text(), st.binary()), st.lists(st.binary(), max_size=4))
+def test_hash_to_group_is_sum_of_reference_maps(label, parts):
+    point = crypto.hash_to_group(label, parts)
+    framed = crypto._frame(label, parts)
+    maps = []
+    for i in (1, 2):
+        raw = hashlib.sha512(b"hash-to-group" + bytes([i]) + framed).digest()
+        maps.append(reference_sswu(int.from_bytes(raw[:48], "big") % P256_P)[0])
+    assert not point.is_identity
+    assert point.y * point.y % P256_P == curve_rhs(point.x)
+    assert (point.x, point.y) == crypto._add(*maps[0], *maps[1])
 
 
 # ---------------------------------------------------------------------------
