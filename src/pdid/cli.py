@@ -133,16 +133,20 @@ def load_deployment(config: Config) -> Deployment:
         if not os.path.exists(required):
             raise UsageError(f"missing deployment file: {required} (run init first)")
     ledger = Ledger.open(config.ledger_path)
-    with open(config.sealing_key_path, "rb") as fh:
-        sealing_key = fh.read()
-    with open(config.sealed_state_path, "rb") as fh:
-        sealed = fh.read()
-    gpm = GpmContract.unseal(
-        sealed,
-        sealing_key,
-        tx_verifier=ledger.tx_included,
-        rate_limit=(config.rate_limit_attempts, config.rate_limit_window_secs),
-    )
+    try:
+        with open(config.sealing_key_path, "rb") as fh:
+            sealing_key = fh.read()
+        with open(config.sealed_state_path, "rb") as fh:
+            sealed = fh.read()
+        gpm = GpmContract.unseal(
+            sealed,
+            sealing_key,
+            tx_verifier=ledger.tx_included,
+            rate_limit=(config.rate_limit_attempts, config.rate_limit_window_secs),
+        )
+    except BaseException:
+        ledger.close()
+        raise
     return Deployment(config, ledger, gpm, sealing_key)
 
 

@@ -16,15 +16,16 @@ error codes; plaintext metadata never crosses the boundary.
 State can be sealed to disk under a symmetric key (the stand-in for an
 enclave sealing key) and restored later, preserving users and the
 rate-limit window. Each user's metadata is held as its encoded record
-(FORMATS.md, tag 7) and decoded only by the method that uses it, so a
-restore touches no record beyond its tag and length.
+(FORMATS.md, tag 7) and decoded only by the method that uses it, and only
+in the fields that method uses, so a restore touches no record beyond its
+tag and length.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from . import crypto, oprf
 from .errors import (
@@ -44,11 +45,11 @@ from .wire import (
     MSG_SEALED_STATE,
     GpmAuthRequest,
     GpmAuthResponse,
-    PasswordMetadata,
     Reader,
     RegistrationPlaintext,
     TxKind,
     UpdatePlaintext,
+    decode_auth_metadata,
     decode_envelope_plaintext,
     decode_expected,
     decode_metadata,
@@ -56,6 +57,7 @@ from .wire import (
 )
 
 TxVerifier = Callable[[Transaction, InclusionProof], bool]
+_Decoded = TypeVar("_Decoded")
 
 DEFAULT_RATE_LIMIT: Tuple[int, float] = (10, 60.0)
 
@@ -81,6 +83,7 @@ class GpmContract:
         rate_limit: Tuple[int, float] = DEFAULT_RATE_LIMIT,
     ) -> None:
         self._keypair = keypair
+        self._box_key = crypto.box_private_key(keypair.secret)
         self._users: Dict[bytes, bytes] = users if users is not None else {}
         self._attempts: Dict[bytes, List[float]] = attempts if attempts is not None else {}
         self._tx_verifier = tx_verifier
@@ -119,17 +122,17 @@ class GpmContract:
             raise NotOnLedger("transaction is not proven on the ledger")
         if tx.kind != kind:
             raise MalformedRecord("transaction kind does not match method")
-        return crypto.pk_decrypt(self._keypair.secret, tx.payload)
+        return crypto.pk_decrypt(self._box_key, tx.payload)
 
-    def _metadata(self, username: bytes) -> PasswordMetadata:
-        """Decode the one stored record a method uses. Unseal checked only
-        its tag and length, so a bad field is refused here, before the
-        method changes any state."""
+    def _metadata(self, username: bytes, decode: Callable[[bytes], _Decoded]) -> _Decoded:
+        """Decode, with `decode`, the one stored record a method uses.
+        Unseal checked only its tag and length, so a bad field is refused
+        here, before the method changes any state."""
         record = self._users.get(username)
         if record is None:
             raise UnknownUser("no metadata for this username")
         try:
-            return decode_metadata(record)
+            return decode(record)
         except CryptoError as exc:
             raise MalformedRecord("stored metadata record is corrupt") from exc
 
@@ -175,26 +178,28 @@ class GpmContract:
         """
         plaintext = self._gate(tx, proof, TxKind.AUTH)
         msg = decode_expected(plaintext, GpmAuthRequest)
-        meta = self._metadata(msg.username)
+        oprf_key, server_static_priv, client_static_pub, envelope = self._metadata(
+            msg.username, decode_auth_metadata
+        )
         now = self._clock()
         self._check_rate(msg.username, now)
         self._charge(msg.username, now)
 
-        evaluated = oprf.evaluate(msg.blinded_element, meta.oprf_key)
+        evaluated = oprf.evaluate(msg.blinded_element, oprf_key)
         e_client = crypto.scalar_from_digest(msg.e_client)
         e_server = crypto.scalar_from_digest(msg.e_server)
         # (client ephemeral * client static^e_client) ^ (eph + e_server * static)
         combined_base = crypto.mul(
-            msg.client_eph_pub, crypto.exp(meta.client_static_pub, e_client)
+            msg.client_eph_pub, crypto.exp(client_static_pub, e_client)
         )
         exponent = crypto.scalar_add(
-            msg.server_eph_priv, crypto.scalar_mul(e_server, meta.server_static_priv)
+            msg.server_eph_priv, crypto.scalar_mul(e_server, server_static_priv)
         )
         shared = crypto.exp(combined_base, exponent)
         raw_key = crypto.hash_parts("hmqv-key", [shared.encode()])
         session_key = crypto.prf(raw_key, b"\x00")
 
-        reply = GpmAuthResponse(evaluated, meta.envelope, session_key).encode()
+        reply = GpmAuthResponse(evaluated, envelope, session_key).encode()
         entropy = crypto.hash_parts("gpm-reply", [self._keypair.secret, tx.id])
         return crypto.pk_encrypt(msg.reply_pk, reply, entropy=entropy)
 
@@ -209,7 +214,7 @@ class GpmContract:
         """
         plaintext = self._gate(tx, proof, TxKind.UPDATE)
         msg = decode_expected(plaintext, UpdatePlaintext)
-        meta = self._metadata(msg.username)
+        meta = self._metadata(msg.username, decode_metadata)
         now = self._clock()
         self._check_rate(msg.username, now)
 

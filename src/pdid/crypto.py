@@ -466,15 +466,22 @@ def pk_encrypt(public: bytes, plaintext: bytes, entropy: Optional[bytes] = None)
     return eph_public + nonce + body
 
 
-def pk_decrypt(secret: bytes, ciphertext: bytes) -> bytes:
+def box_private_key(secret: bytes) -> X25519PrivateKey:
+    """Key object for a box secret; build it once for repeated decryption."""
     if len(secret) != BOX_SECRET_LEN:
         raise CryptoError("box secret key must be 32 bytes")
+    return X25519PrivateKey.from_private_bytes(secret)
+
+
+def pk_decrypt(secret: Union[bytes, X25519PrivateKey], ciphertext: bytes) -> bytes:
+    """Open a box with a 32-byte secret or, skipping the key setup (which
+    derives the public key), a box_private_key."""
+    sk = box_private_key(secret) if isinstance(secret, bytes) else secret
     if len(ciphertext) < PKE_OVERHEAD:
         raise DecryptFailure("ciphertext too short")
     eph_public = ciphertext[:BOX_PUBLIC_LEN]
     nonce = ciphertext[BOX_PUBLIC_LEN : BOX_PUBLIC_LEN + AEAD_NONCE_LEN]
     body = ciphertext[BOX_PUBLIC_LEN + AEAD_NONCE_LEN :]
-    sk = X25519PrivateKey.from_private_bytes(secret)
     public = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     try:
         shared = sk.exchange(X25519PublicKey.from_public_bytes(eph_public))
@@ -500,13 +507,11 @@ def sig_gen() -> KeyPair:
     return KeyPair(secret, public)
 
 
-def sig_public(secret: bytes) -> bytes:
-    """Public half for a signing seed."""
-    return (
-        Ed25519PrivateKey.from_private_bytes(secret)
-        .public_key()
-        .public_bytes(Encoding.Raw, PublicFormat.Raw)
-    )
+def sig_public(secret: Union[bytes, Ed25519PrivateKey]) -> bytes:
+    """Public half for a signing seed or, skipping the key setup, a signing_key."""
+    if isinstance(secret, bytes):
+        secret = signing_key(secret)
+    return secret.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
 
 def signing_key(secret: bytes) -> Ed25519PrivateKey:

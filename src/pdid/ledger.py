@@ -10,13 +10,21 @@ replay defense: a captured transaction can never be placed twice.
 
 When opened with a path the ledger persists as a header (node seeds, shape)
 followed by length-prefixed transaction records, and reloads at startup.
+`close` also writes a derived index beside the file (`<path>.idx`, FORMATS.md):
+the ids of the records it covers and where the last of them sits. A reopen
+that finds a valid index parses only that last record and the ones after
+it, so its cost does not grow with the log; without one it scans the whole
+file, as the index can always be deleted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
+import tempfile
 import threading
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +33,13 @@ from .errors import DuplicateTransaction, LedgerError, MalformedRecord
 from .wire import MSG_TRANSACTION, TxKind, pack_field
 
 _MAGIC = b"PDLG\x01"
+_INDEX_MAGIC = b"PDIX\x01"
+# magic, record count, start of the last indexed record, covered end, and
+# the digest of the ledger header; then one 32-byte tx id per record, and
+# a CRC-32 of everything before it.
+_INDEX_HEADER = struct.Struct(">5sQQQ32s")
+_CRC_LEN = 4
+_ID_LEN = 32
 _ATTEST_LABEL = b"ledger-attest"
 # A dict lookup: calling TxKind(value) costs about 0.8 µs per reloaded record.
 _KINDS = {kind.value: kind for kind in TxKind}
@@ -39,7 +54,7 @@ class Transaction:
 
     @property
     def id(self) -> bytes:
-        return crypto.hash_parts("tx", [self.payload])
+        return _tx_id(self.payload)
 
     def encode(self) -> bytes:
         return bytes([MSG_TRANSACTION]) + pack_field(bytes([self.kind])) + pack_field(
@@ -50,6 +65,10 @@ class Transaction:
     def decode(data: bytes) -> "Transaction":
         kind, payload = _parse_record(data, 0, len(data))
         return Transaction(_KINDS[kind], payload)
+
+
+def _tx_id(payload: bytes) -> bytes:
+    return crypto.hash_parts("tx", [payload])
 
 
 def _parse_record(data: bytes, start: int, end: int) -> tuple[int, bytes]:
@@ -68,6 +87,23 @@ def _parse_record(data: bytes, start: int, end: int) -> tuple[int, bytes]:
     if int.from_bytes(data[start + 4 : start + 6], "big") != end - start - 6:
         raise MalformedRecord("payload length does not match record")
     return kind, data[start + 6 : end]
+
+
+def _scan(blob: bytes, pos: int, kinds: bytearray, payloads: list[bytes]) -> int:
+    """Parse the length-prefixed records of blob[pos:] onto the two columns
+    and return where the last one starts (-1 if there is none)."""
+    last, end = -1, len(blob)
+    while pos < end:
+        if pos + 4 > end:
+            raise LedgerError("truncated record length")
+        rec_end = pos + 4 + int.from_bytes(blob[pos : pos + 4], "big")
+        if rec_end > end:
+            raise LedgerError("truncated record")
+        kind, payload = _parse_record(blob, pos + 4, rec_end)
+        kinds.append(kind)
+        payloads.append(payload)
+        last, pos = pos, rec_end
+    return last
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,8 +127,8 @@ class _Node:
     def __init__(self, index: int, seed: bytes) -> None:
         self.index = index
         self.seed = seed
-        self.public = crypto.sig_public(seed)
         self._key = crypto.signing_key(seed)
+        self.public = crypto.sig_public(self._key)
 
     def attest(self, tx_id: bytes, seq: int) -> bytes:
         return crypto.sign(self._key, attestation_message(tx_id, seq))
@@ -105,6 +141,14 @@ class Ledger:
     prefix so verification can run concurrently. The log is held as two
     parallel columns, payloads and kind bytes, with no object per record;
     `transaction_at` and `snapshot` rebuild Transaction objects on demand.
+
+    A ledger reopened through its index holds in the columns only the
+    records from seq `_base` on; the records before it stay on disk until a
+    read of one loads them all (`_prefix`), and until then their ids, read
+    from the index into `_index_ids`, stand in for their payloads in the
+    duplicate check. A file-backed ledger keeps the ids of the records after
+    the index's in `_ids`, so that `close` can write the next index without
+    growing the large column.
     """
 
     def __init__(
@@ -126,75 +170,162 @@ class Ledger:
         self.nodes = [_Node(i, seed) for i, seed in enumerate(node_seeds)]
         self._payloads: list[bytes] = []
         self._kinds = bytearray()
-        # Keyed on payloads: the tx id hashes the payload alone, so equal
-        # payloads are equal ids, and reload need not hash every record.
+        # Payloads of the records in the columns. Keyed on payloads: the tx
+        # id hashes the payload alone, so equal payloads are equal ids.
         self._seen: set[bytes] = set()
         self._lock = threading.Lock()
         self.path = path
         self._fh = _fh
+        self._base = 0
+        self._prefix_end = 0  # file offset where the record at _base starts
+        self._loaded_prefix: Optional[tuple[bytearray, list[bytes]]] = None
+        self._index_ids = bytearray()
+        self._ids = bytearray()
+        self._header_digest = b""
+        self._last_start = 0  # file offset of the last record
+        self._end = 0  # file offset up to which this process read or wrote
+
+    @property
+    def _header_len(self) -> int:
+        return len(_MAGIC) + 2 + 32 * self.n_nodes
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def create(cls, path: str, n_nodes: int = 4, f: int = 1) -> "Ledger":
-        """Start a fresh persistent ledger, truncating any existing file."""
+        """Start a fresh persistent ledger, truncating any existing file and
+        removing its index."""
         ledger = cls(n_nodes, f, path=path)
+        header = _MAGIC + bytes([n_nodes, f]) + b"".join(node.seed for node in ledger.nodes)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path + ".idx")
         fh = open(path, "wb")
-        fh.write(_MAGIC)
-        fh.write(bytes([n_nodes, f]))
-        for node in ledger.nodes:
-            fh.write(node.seed)
+        fh.write(header)
         fh.flush()
         os.fsync(fh.fileno())
         ledger._fh = fh
+        ledger._header_digest = crypto.hash_parts("ledger-header", [header])
+        ledger._end = len(header)
         return ledger
 
     @classmethod
     def open(cls, path: str) -> "Ledger":
-        """Reload a persistent ledger: header, then every appended record."""
+        """Reload a persistent ledger: header, then the records after its
+        index, or every record when there is no valid index."""
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < len(_MAGIC) + 2 or blob[: len(_MAGIC)] != _MAGIC:
-            raise LedgerError("not a ledger file")
-        pos = len(_MAGIC)
-        n_nodes, f = blob[pos], blob[pos + 1]
-        pos += 2
-        seeds = []
-        for _ in range(n_nodes):
-            seeds.append(blob[pos : pos + 32])
-            pos += 32
-        if any(len(s) != 32 for s in seeds):
-            raise LedgerError("truncated node seeds")
-        ledger = cls(n_nodes, f, node_seeds=seeds, path=path)
-        payloads, kinds = ledger._payloads, ledger._kinds
-        end = len(blob)
-        while pos < end:
-            if pos + 4 > end:
-                raise LedgerError("truncated record length")
-            rec_end = pos + 4 + int.from_bytes(blob[pos : pos + 4], "big")
-            if rec_end > end:
-                raise LedgerError("truncated record")
-            kind, payload = _parse_record(blob, pos + 4, rec_end)
-            pos = rec_end
-            kinds.append(kind)
-            payloads.append(payload)
+            header = fh.read(len(_MAGIC) + 2)
+            if len(header) < len(_MAGIC) + 2 or header[: len(_MAGIC)] != _MAGIC:
+                raise LedgerError("not a ledger file")
+            n_nodes, f = header[-2], header[-1]
+            header += fh.read(32 * n_nodes)
+            if len(header) != len(_MAGIC) + 2 + 32 * n_nodes:
+                raise LedgerError("truncated node seeds")
+            seeds = [header[i : i + 32] for i in range(len(_MAGIC) + 2, len(header), 32)]
+            ledger = cls(n_nodes, f, node_seeds=seeds, path=path)
+            ledger._header_digest = crypto.hash_parts("ledger-header", [header])
+            indexed = ledger._read_index(fh)
+            if indexed is None:
+                start = len(header)
+                fh.seek(start)
+                blob = fh.read()
+            else:
+                start, ledger._index_ids, blob = indexed
+                ledger._base = len(ledger._index_ids) // _ID_LEN - 1
+                ledger._prefix_end = start
+        payloads = ledger._payloads
+        last = _scan(blob, 0, ledger._kinds, payloads)
+        # Ids for the records the index does not cover: all but its last one.
+        for payload in payloads[0 if indexed is None else 1 :]:
+            ledger._ids += _tx_id(payload)
         ledger._seen.update(payloads)
+        ledger._last_start = start + last
+        ledger._end = start + len(blob)
         ledger._fh = open(path, "ab")
         return ledger
 
+    def _read_index(self, fh) -> Optional[tuple[int, bytearray, bytes]]:
+        """From a valid index: the offset of the last indexed record, the
+        id column, and the log from that offset on. None when the index is
+        missing or does not check out against the open log `fh`."""
+        try:
+            with open(self.path + ".idx", "rb") as ix:
+                ids = bytearray(os.fstat(ix.fileno()).st_size)
+                ix.readinto(ids)
+        except OSError:
+            return None
+        if len(ids) < _INDEX_HEADER.size + _CRC_LEN or zlib.crc32(
+            memoryview(ids)[:-_CRC_LEN]
+        ) != int.from_bytes(ids[-_CRC_LEN:], "big"):
+            return None
+        magic, count, start, covered, digest = _INDEX_HEADER.unpack_from(ids)
+        del ids[-_CRC_LEN:]
+        del ids[: _INDEX_HEADER.size]
+        size = os.fstat(fh.fileno()).st_size
+        if (
+            magic != _INDEX_MAGIC
+            or digest != self._header_digest
+            or count < 1
+            or len(ids) != count * _ID_LEN
+            or not self._header_len <= start < covered <= size
+        ):
+            return None
+        fh.seek(start)
+        blob = fh.read()
+        # The last indexed record ends at the covered end and its payload,
+        # after the u32 length, tag, kind field and u16 length, hashes to
+        # the last id; _scan then parses it with the tail.
+        covered -= start
+        if 4 + int.from_bytes(blob[:4], "big") != covered:
+            return None
+        if _tx_id(blob[10:covered]) != ids[-_ID_LEN:]:
+            return None
+        return start, ids, blob
+
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            try:
+                self._write_index()
+            finally:
+                self._fh.close()
+                self._fh = None
+
+    def _write_index(self) -> None:
+        """Replace the index with one that covers this log. Skipped for an
+        empty log, and when another writer appended since this one read
+        the file, as this log is then not the file's prefix. A failed write
+        is not an error: the index is derived, and the next open scans."""
+        if not len(self) or os.fstat(self._fh.fileno()).st_size != self._end:
+            return
+        path = os.path.abspath(self.path) + ".idx"
+        header = _INDEX_HEADER.pack(
+            _INDEX_MAGIC, len(self), self._last_start, self._end, self._header_digest
+        )
+        try:
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(path), prefix=os.path.basename(path) + "."
+            )
+        except OSError:
+            return
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                crc = 0
+                for part in (header, self._index_ids, self._ids):
+                    fh.write(part)
+                    crc = zlib.crc32(part, crc)
+                fh.write(crc.to_bytes(_CRC_LEN, "big"))
+            os.replace(tmp, path)
+        except OSError:
+            os.unlink(tmp)
 
     # -- core operations ---------------------------------------------------
 
     def append(self, tx: Transaction) -> InclusionProof:
         """Admit a new transaction and return its quorum inclusion proof."""
+        tx_id = tx.id
         with self._lock:
-            if tx.payload in self._seen:
+            if tx.payload in self._seen or self._indexed(tx_id):
                 raise DuplicateTransaction("transaction id already on ledger")
-            seq = len(self._payloads)
+            seq = len(self)
             # Kind first: len() counts payloads, so readers never see a
             # payload without its kind.
             self._kinds.append(tx.kind)
@@ -204,20 +335,31 @@ class Ledger:
                 record = tx.encode()
                 self._fh.write(struct.pack(">I", len(record)) + record)
                 self._fh.flush()
-        tx_id = tx.id
+                self._ids += tx_id
+                self._last_start = self._end
+                self._end += 4 + len(record)
         attestations = tuple(
             (node.index, node.attest(tx_id, seq)) for node in self.nodes[: self.f + 1]
         )
         return InclusionProof(tx_id, seq, attestations)
+
+    def _indexed(self, tx_id: bytes) -> bool:
+        """Whether tx_id is among the ids read from the index: a search of
+        the column at 32-byte alignment."""
+        ids = self._index_ids
+        pos = ids.find(tx_id)
+        while pos > 0 and pos % _ID_LEN:
+            pos = ids.find(tx_id, pos + 1)
+        return pos >= 0
 
     def tx_included(self, tx: Transaction, proof: InclusionProof) -> bool:
         """Check a proof against the log: correct position, quorum of valid
         signatures from distinct known nodes."""
         if proof.tx_id != tx.id:
             return False
-        if not 0 <= proof.seq < len(self._payloads):
+        if not 0 <= proof.seq < len(self):
             return False
-        if self._payloads[proof.seq] != tx.payload:
+        if self._record(proof.seq)[1] != tx.payload:
             return False
         message = attestation_message(proof.tx_id, proof.seq)
         valid = set()
@@ -231,14 +373,46 @@ class Ledger:
     # -- inspection --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._payloads)
+        return self._base + len(self._payloads)
+
+    def _prefix(self) -> tuple[bytearray, list[bytes]]:
+        """Kinds and payloads of the records before `_base`, read from the
+        file on first use with the scan that `open` skipped."""
+        with self._lock:
+            if self._loaded_prefix is None:
+                with open(self.path, "rb") as fh:
+                    fh.seek(self._header_len)
+                    blob = fh.read(self._prefix_end - self._header_len)
+                kinds, payloads = bytearray(), []
+                _scan(blob, 0, kinds, payloads)
+                if len(payloads) != self._base:
+                    raise LedgerError("ledger index does not match the log")
+                self._loaded_prefix = kinds, payloads
+            return self._loaded_prefix
+
+    def _record(self, seq: int) -> tuple[int, bytes]:
+        """(kind value, payload) of the record at seq; negative counts from
+        the end."""
+        if seq < 0:
+            seq += len(self)
+        if seq >= self._base:
+            return self._kinds[seq - self._base], self._payloads[seq - self._base]
+        if seq < 0:
+            raise IndexError("ledger sequence out of range")
+        kinds, payloads = self._prefix()
+        return kinds[seq], payloads[seq]
 
     def snapshot(self) -> tuple[Transaction, ...]:
         """Immutable view of the current log prefix."""
-        return tuple(Transaction(_KINDS[k], p) for k, p in zip(self._kinds, self._payloads))
+        kinds, payloads = self._kinds, self._payloads
+        if self._base:
+            prefix_kinds, prefix_payloads = self._prefix()
+            kinds, payloads = prefix_kinds + kinds, prefix_payloads + payloads
+        return tuple(Transaction(_KINDS[k], p) for k, p in zip(kinds, payloads))
 
     def transaction_at(self, seq: int) -> Transaction:
-        return Transaction(_KINDS[self._kinds[seq]], self._payloads[seq])
+        kind, payload = self._record(seq)
+        return Transaction(_KINDS[kind], payload)
 
     def node_public_keys(self) -> list[bytes]:
         return [node.public for node in self.nodes]

@@ -179,6 +179,21 @@ def decode_metadata(data: bytes) -> PasswordMetadata:
     return msg
 
 
+def decode_auth_metadata(data: bytes) -> tuple[Scalar, Scalar, GroupElement, bytes]:
+    """The fields of a metadata record that authentication uses: OPRF key,
+    server static private key, client static public key, envelope. The
+    server static public key is checked for width only, not decoded."""
+    r = Reader(data)
+    if r.u8() != MSG_METADATA:
+        raise MalformedRecord("expected a metadata record")
+    oprf_key, server_static_priv = _scalar_field(r), _scalar_field(r)
+    _check_len(r.field(), ELEMENT_LEN, "server static public key")
+    client_static_pub, envelope = _element_field(r), r.field()
+    _check_len(envelope, ENVELOPE_CT_LEN, "envelope")
+    r.expect_done()
+    return oprf_key, server_static_priv, client_static_pub, envelope
+
+
 def encode_envelope_plaintext(
     client_static_priv: Scalar,
     client_static_pub: GroupElement,

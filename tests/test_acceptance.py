@@ -386,12 +386,15 @@ def test_criterion_10_ledger_free_of_identities_over_100_sessions(tmp_path):
     ledger.close()
     with open(path, "rb") as fh:
         ledger_bytes = fh.read()
+    # The derived index beside the ledger file is scanned as well.
+    with open(path + ".idx", "rb") as fh:
+        index_bytes = fh.read()
 
-    leaks = [s for s in sensitive if s in ledger_bytes]
+    leaks = [s for s in sensitive if s in ledger_bytes or s in index_bytes]
     report = adversary.observe_trace(traces, sensitive, ledger_bytes)
     _report(
         10,
         not leaks and report.clean,
-        f"100 sessions, {len(ledger_bytes)} ledger bytes, "
+        f"100 sessions, {len(ledger_bytes)} ledger bytes, {len(index_bytes)} index bytes, "
         f"{len(leaks)} identity leaks, observer violations: {report.violations}",
     )

@@ -6,11 +6,13 @@ import json
 import os
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from pdid import actors, cli
 from pdid.contract import GpmContract
+from pdid.errors import PdidError
 from pdid.ledger import Ledger
 
 
@@ -155,6 +157,22 @@ def test_failed_save_leaves_no_temp_file(config_path, capsys, monkeypatch):
         dep.save()
     dep.ledger.close()
     assert sorted(os.listdir(os.path.dirname(config_path))) == before
+
+
+@pytest.mark.parametrize("damaged", ["sealing_key_path", "sealed_state_path"])
+def test_load_deployment_closes_the_ledger_when_it_fails(config_path, capsys, monkeypatch, damaged):
+    run(["--config", config_path, "init"], capsys)
+    config = cli.load_config(config_path)
+    path = getattr(config, damaged)
+    data = bytearray(Path(path).read_bytes())
+    data[-1] ^= 0x01
+    Path(path).write_bytes(bytes(data))
+    closed = []
+    close = Ledger.close
+    monkeypatch.setattr(Ledger, "close", lambda self: closed.append(self) or close(self))
+    with pytest.raises(PdidError):
+        cli.load_deployment(config)
+    assert len(closed) == 1
 
 
 def test_failed_attempts_persist_across_processes(tmp_path, capsys, monkeypatch):

@@ -327,3 +327,16 @@ def test_contract_keeps_at_most_400_bytes_per_registered_user(seeded):
         tracemalloc.stop()
     assert gpm.user_count() == len(txs)
     assert retained / len(txs) <= 400
+
+
+def test_contract_keeps_its_box_key_object(monkeypatch):
+    ledger = Ledger()
+    gpm = GpmContract.create(ledger.tx_included)
+    actors.run_register(gpm, ledger, b"alice", b"pw")
+    built = []
+    original = crypto.box_private_key
+    monkeypatch.setattr(crypto, "box_private_key", lambda s: built.append(s) or original(s))
+    actors.run_login(gpm, ledger, b"alice", b"pw", b"srv")
+    # One key set-up per login, for the server's one-shot reply key; the
+    # contract decrypts the auth transaction with the key it kept.
+    assert len(built) == 1

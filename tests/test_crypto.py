@@ -518,6 +518,19 @@ def test_pk_wrong_key_and_tamper_rejected():
             crypto.pk_decrypt(pair.secret, bytes(corrupted))
 
 
+def test_pk_decrypt_with_a_kept_key_object():
+    pair = crypto.pk_gen()
+    key = crypto.box_private_key(pair.secret)
+    other = crypto.box_private_key(crypto.pk_gen().secret)
+    for msg in (b"", b"x", crypto.random_bytes(300)):
+        ct = crypto.pk_encrypt(pair.public, msg)
+        assert crypto.pk_decrypt(key, ct) == crypto.pk_decrypt(pair.secret, ct) == msg
+        with pytest.raises(DecryptFailure):
+            crypto.pk_decrypt(other, ct)
+    with pytest.raises(CryptoError):
+        crypto.box_private_key(pair.secret[:-1])
+
+
 def test_pk_encrypt_fresh_randomness():
     pair = crypto.pk_gen()
     assert crypto.pk_encrypt(pair.public, b"m") != crypto.pk_encrypt(pair.public, b"m")
@@ -542,6 +555,7 @@ def test_pk_encrypt_entropy_derandomizes():
 def test_signature_round_trip_and_rejection():
     seed = crypto.random_bytes(32)
     public = crypto.sig_public(seed)
+    assert crypto.sig_public(crypto.signing_key(seed)) == public
     sig = crypto.sign(seed, b"attest this")
     assert len(sig) == crypto.SIG_LEN
     assert crypto.verify(public, b"attest this", sig)

@@ -163,6 +163,26 @@ def test_off_curve_element_in_sealed_state_fails_at_use_and_changes_nothing():
     actors.run_login(restored, ledger, b"bob", b"bob-pw", b"srv")
 
 
+def test_off_curve_server_static_key_spares_login_and_stops_update():
+    ledger, gpm, key = registered()
+    records = state_users(gpm, key)
+    alice = bytearray(records[b"alice"])
+    # The server static public key's x coordinate: record bytes 72-103.
+    alice[72:104] = off_curve_x()
+    records[b"alice"] = bytes(alice)
+    restored = GpmContract.unseal(
+        sealed_with_users(gpm, key, records), key,
+        tx_verifier=ledger.tx_included, clock=lambda: NOW,
+    )
+    # Authentication does not use that key, so it does not decode it.
+    client_key, server_key = actors.run_login(restored, ledger, b"alice", b"pw", b"srv")
+    assert client_key == server_key
+    before = state_plaintext(restored, key)
+    with pytest.raises(MalformedRecord):
+        actors.run_update(restored, ledger, b"alice", b"pw", b"pw-2")
+    assert state_plaintext(restored, key) == before
+
+
 if __name__ == "__main__":
     import tempfile
 

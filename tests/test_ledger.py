@@ -1,11 +1,16 @@
 """Append-only ledger: quorum proofs, duplicates, persistence, forgeries."""
 
+import os
 import sys
+import threading
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import pytest
 
 from pdid import crypto
+from pdid import ledger as ledger_module
 from pdid.errors import DuplicateTransaction, LedgerError, MalformedRecord
 from pdid.ledger import InclusionProof, Ledger, Transaction, attestation_message
 from pdid.wire import TxKind
@@ -233,3 +238,304 @@ def test_reloaded_ledger_keeps_at_most_120_bytes_per_record_beyond_payload(tmp_p
     reloaded.close()
     beyond_payload = retained - sum(sys.getsizeof(p) for p in payloads)
     assert beyond_payload / len(payloads) <= 120
+
+
+# -- the derived index beside a ledger file ----------------------------------
+
+
+def write_log(path, count):
+    """A closed ledger file of `count` records, so with an index."""
+    ledger = Ledger.create(path)
+    txs = [make_tx(bytes([i])) for i in range(count)]
+    for tx in txs:
+        ledger.append(tx)
+    ledger.close()
+    return txs
+
+
+def index_of(path):
+    return path + ".idx"
+
+
+def full_scan(path, tmp_path):
+    """The ledger that a scan of the whole file gives: a copy with no index."""
+    copy = str(tmp_path / "scan-copy.log")
+    Path(copy).write_bytes(Path(path).read_bytes())
+    if os.path.exists(index_of(copy)):
+        os.remove(index_of(copy))
+    ledger = Ledger.open(copy)
+    ledger.close()
+    return ledger
+
+
+def assert_same_log(path, tmp_path):
+    """Reopening `path` gives the ledger a full scan gives: the same length
+    and records, every record refused again, also under another kind, and
+    a new record admitted."""
+    expected = full_scan(path, tmp_path)
+    reopened = Ledger.open(path)
+    try:
+        assert len(reopened) == len(expected)
+        assert reopened.snapshot() == expected.snapshot()
+        for tx in expected.snapshot():
+            other = TxKind.REGISTER if tx.kind != TxKind.REGISTER else TxKind.AUTH
+            for kind in (tx.kind, other):
+                with pytest.raises(DuplicateTransaction):
+                    reopened.append(Transaction(kind, tx.payload))
+        fresh = make_tx(b"fresh")
+        assert reopened.tx_included(fresh, reopened.append(fresh))
+    finally:
+        reopened.close()
+
+
+def count_parses(monkeypatch):
+    parsed = []
+    original = ledger_module._parse_record
+
+    def counting(data, start, end):
+        parsed.append(start)
+        return original(data, start, end)
+
+    monkeypatch.setattr(ledger_module, "_parse_record", counting)
+    return parsed
+
+
+def test_reopen_parses_only_the_last_indexed_record_and_the_tail(tmp_path, monkeypatch):
+    path = str(tmp_path / "ledger.log")
+    txs = write_log(path, 50)
+    stale = Path(index_of(path)).read_bytes()
+    ledger = Ledger.open(path)
+    tail = [make_tx(b"tail" + bytes([i])) for i in range(3)]
+    for tx in tail:
+        ledger.append(tx)
+    ledger.close()
+
+    parsed = count_parses(monkeypatch)
+    reopened = Ledger.open(path)  # the index covers the tail too
+    assert len(parsed) == 1 and len(reopened) == 53
+    assert reopened.transaction_at(52) == tail[-1]
+    reopened.close()
+
+    # With the index from before the tail: that index's last record, then the tail.
+    Path(index_of(path)).write_bytes(stale)
+    parsed.clear()
+    reopened = Ledger.open(path)
+    assert len(parsed) == 4 and len(reopened) == 53
+    reopened.close()
+    monkeypatch.undo()
+    reopened = Ledger.open(path)
+    assert reopened.snapshot() == tuple(txs + tail)
+    reopened.close()
+
+
+def test_reopen_without_an_index_scans_and_rebuilds_it(tmp_path, monkeypatch):
+    path = str(tmp_path / "ledger.log")
+    write_log(path, 20)
+    os.remove(index_of(path))
+    parsed = count_parses(monkeypatch)
+    Ledger.open(path).close()
+    assert len(parsed) == 20
+    assert os.path.exists(index_of(path))
+    monkeypatch.undo()
+    assert_same_log(path, tmp_path)
+
+
+def test_stale_index_from_an_unclosed_ledger(tmp_path):
+    path = str(tmp_path / "ledger.log")
+    write_log(path, 10)
+    stale = Path(index_of(path)).read_bytes()
+    ledger = Ledger.open(path)
+    for i in range(4):
+        ledger.append(make_tx(b"after" + bytes([i])))
+    ledger.close()
+    # As after a crash before close: the records are on disk, the index is old.
+    Path(index_of(path)).write_bytes(stale)
+    assert_same_log(path, tmp_path)
+
+
+@pytest.mark.parametrize("regrow", [False, True], ids=["truncated", "truncated-and-regrown"])
+def test_index_ahead_of_a_truncated_log(tmp_path, regrow):
+    path = str(tmp_path / "ledger.log")
+    txs = write_log(path, 10)
+    index = Path(index_of(path)).read_bytes()
+    size = os.path.getsize(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(size - 2 * (4 + len(txs[-1].encode())))
+    if regrow:
+        # Records as long as the cut ones: the index's last record frames
+        # right, and only its id tells it is another record.
+        ledger = Ledger.open(path)
+        for i in range(3):
+            ledger.append(make_tx(bytes([100 + i])))
+        ledger.close()
+        assert os.path.getsize(path) == size + 4 + len(txs[-1].encode())
+    Path(index_of(path)).write_bytes(index)
+    assert_same_log(path, tmp_path)
+
+
+# Every header field (magic, count, last start, covered end, ledger header
+# digest), the first, a middle and the last id, and the checksum.
+FLIPS = [0, 4, 5, 12, 13, 20, 21, 28, 29, 60, 61, 61 + 32 * 3 + 7, -33, -5, -1]
+
+
+@pytest.mark.parametrize("position", FLIPS)
+def test_bit_flipped_index_is_not_trusted(tmp_path, position):
+    path = str(tmp_path / "ledger.log")
+    write_log(path, 8)
+    index = bytearray(Path(index_of(path)).read_bytes())
+    index[position] ^= 0x01
+    Path(index_of(path)).write_bytes(bytes(index))
+    assert_same_log(path, tmp_path)
+
+
+@pytest.mark.parametrize("keep", [0, 10, 61, 61 + 32 * 4, -4, -1])
+def test_truncated_index_is_not_trusted(tmp_path, keep):
+    path = str(tmp_path / "ledger.log")
+    write_log(path, 8)
+    index = Path(index_of(path)).read_bytes()
+    Path(index_of(path)).write_bytes(index[:keep])
+    assert_same_log(path, tmp_path)
+
+
+def write_index(path, ids, base_index):
+    """Rewrite the index of `path` with the id column `ids`, keeping the
+    other header fields of `base_index` and a correct checksum."""
+    header = base_index[:61]
+    body = header + ids
+    with open(index_of(path), "wb") as fh:
+        fh.write(body + zlib.crc32(body).to_bytes(4, "big"))
+
+
+def test_duplicate_search_keeps_id_alignment(tmp_path):
+    path = str(tmp_path / "ledger.log")
+    txs = write_log(path, 3)
+    index = Path(index_of(path)).read_bytes()
+    ids = bytearray(index[61:-4])
+    # A new record's id that straddles the first two ids of the column.
+    newcomer = make_tx(b"newcomer")
+    ids[16:48] = newcomer.id
+    write_index(path, bytes(ids), index)
+    ledger = Ledger.open(path)
+    ledger.append(newcomer)  # not a duplicate: no aligned id matches
+    ledger.close()
+
+
+def test_two_ledgers_appending_to_one_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "ledger.log")
+    write_log(path, 5)
+    first, second = Ledger.open(path), Ledger.open(path)
+    first.append(make_tx(b"first-1"))
+    second.append(make_tx(b"second-1"))
+    first.append(make_tx(b"first-2"))
+    first.close()
+    second.close()
+    assert_same_log(path, tmp_path)
+    # One closes before the other appends: its log is a prefix of the file.
+    first, second = Ledger.open(path), Ledger.open(path)
+    first.append(make_tx(b"a"))
+    first.close()
+    second.append(make_tx(b"b"))
+    second.close()
+    # The index is the first closer's: the second's log is not the file's prefix.
+    parsed = count_parses(monkeypatch)
+    Ledger.open(path).close()
+    assert len(parsed) == 2
+    monkeypatch.undo()
+    assert_same_log(path, tmp_path)
+
+
+def test_create_over_an_old_index(tmp_path, monkeypatch):
+    path = str(tmp_path / "ledger.log")
+    txs = write_log(path, 6)
+    old_index = Path(index_of(path)).read_bytes()
+    fresh = Ledger.create(path)
+    assert not os.path.exists(index_of(path))
+    fresh.append(make_tx(b"new"))
+    fresh.close()
+    assert_same_log(path, tmp_path)
+    # The same records under new node seeds: the old index frames and
+    # hashes right, but it belongs to another ledger header.
+    fresh = Ledger.create(path)
+    for tx in txs:
+        fresh.append(tx)
+    fresh.close()
+    Path(index_of(path)).write_bytes(old_index)
+    parsed = count_parses(monkeypatch)
+    Ledger.open(path).close()
+    assert len(parsed) == 6  # a full scan
+
+
+def test_old_sequence_reads_load_the_prefix(tmp_path):
+    path = str(tmp_path / "ledger.log")
+    ledger = Ledger.create(path)
+    txs = [make_tx(bytes([i])) for i in range(12)]
+    proofs = [ledger.append(tx) for tx in txs]
+    ledger.close()
+    reopened = Ledger.open(path)
+    assert reopened.transaction_at(3) == txs[3]
+    assert reopened.transaction_at(-1) == txs[-1]
+    assert all(reopened.tx_included(tx, proof) for tx, proof in zip(txs, proofs))
+    assert reopened.snapshot() == tuple(txs)
+    with pytest.raises(IndexError):
+        reopened.transaction_at(12)
+    reopened.close()
+
+
+def test_concurrent_old_sequence_reads_share_one_prefix_load(tmp_path, monkeypatch):
+    path = str(tmp_path / "ledger.log")
+    ledger = Ledger.create(path)
+    txs = [make_tx(bytes([i])) for i in range(40)]
+    proofs = [ledger.append(tx) for tx in txs]
+    ledger.close()
+    reopened = Ledger.open(path)
+    results, loads = [], []
+    scan = ledger_module._scan
+
+    def counting_scan(*args):
+        loads.append(1)
+        return scan(*args)
+
+    def verify_all():
+        results.extend(reopened.tx_included(tx, p) for tx, p in zip(txs, proofs))
+
+    monkeypatch.setattr(ledger_module, "_scan", counting_scan)
+    threads = [threading.Thread(target=verify_all) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 * 40 and all(results)
+    assert len(loads) == 1
+    reopened.close()
+
+
+def test_empty_ledger_writes_no_index(tmp_path):
+    path = str(tmp_path / "ledger.log")
+    Ledger.create(path).close()
+    Ledger.open(path).close()
+    assert os.listdir(tmp_path) == ["ledger.log"]
+
+
+def test_reopened_ledger_keeps_at_most_40_bytes_per_record(tmp_path):
+    # Through its index, a reopen holds the id column, not the records.
+    path = str(tmp_path / "ledger.bin")
+    ledger = Ledger.create(path)
+    for _ in range(3000):
+        ledger.append(Transaction(TxKind.AUTH, crypto.random_bytes(280)))
+    ledger.close()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reloaded = Ledger.open(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    reloaded.close()
+    assert len(reloaded) == 3000
+    assert retained / 3000 <= 40

@@ -91,6 +91,33 @@ def test_metadata_round_trip_and_cap():
     assert len(encoded) <= 512
 
 
+def test_auth_metadata_decode_agrees_with_the_full_decode(seeded):
+    """Every bit flip of a record is refused by both decoders or decoded by
+    both to the same four fields, except flips inside the server static
+    public key (record bytes 71-103), which only the width check sees."""
+    meta = random_metadata()
+    encoded = meta.encode()
+    fields = (meta.oprf_key, meta.server_static_priv, meta.client_static_pub, meta.envelope)
+    assert wire.decode_auth_metadata(encoded) == fields
+    for pos in range(len(encoded)):
+        mutated = bytearray(encoded)
+        mutated[pos] ^= 1 << (pos % 8)
+        try:
+            full = wire.decode_metadata(bytes(mutated))
+        except PdidError:
+            full = None
+        try:
+            auth = wire.decode_auth_metadata(bytes(mutated))
+        except PdidError:
+            auth = None
+        if 71 <= pos < 104 and full is None and auth is not None:
+            continue
+        expected = None if full is None else (
+            full.oprf_key, full.server_static_priv, full.client_static_pub, full.envelope
+        )
+        assert auth == expected, pos
+
+
 def test_envelope_plaintext_round_trip():
     priv = crypto.random_scalar()
     pub_c, pub_s = random_element(), random_element()
