@@ -16,7 +16,6 @@ mismatch rather than a silently wrong key.
 from __future__ import annotations
 
 import hmac as _hmac
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 from . import crypto, oprf
@@ -101,15 +100,24 @@ def client_update(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ClientSession:
     """Ephemeral client state between the two authentication flows."""
 
-    username: bytes
-    blind: crypto.Scalar
-    eph_priv: crypto.Scalar
-    eph_pub: crypto.GroupElement
-    finished: bool = False
+    __slots__ = ("username", "blind", "eph_priv", "eph_pub", "finished")
+
+    def __init__(
+        self,
+        username: bytes,
+        blind: crypto.Scalar,
+        eph_priv: crypto.Scalar,
+        eph_pub: crypto.GroupElement,
+        finished: bool = False,
+    ) -> None:
+        self.username = username
+        self.blind = blind
+        self.eph_priv = eph_priv
+        self.eph_pub = eph_pub
+        self.finished = finished
 
     def ephemeral_state_bytes(self) -> bytes:
         """Serialized ephemeral state: blind || eph_priv || eph_pub (97 B)."""
@@ -182,7 +190,6 @@ def client_auth_finish(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ServerSession:
     """Server state between its two phases.
 
@@ -190,16 +197,34 @@ class ServerSession:
     nothing here depends on the user's password.
     """
 
-    server_id: bytes
-    username: bytes
-    blinded_element: crypto.GroupElement
-    client_eph_pub: crypto.GroupElement
-    eph_priv: crypto.Scalar
-    eph_pub: crypto.GroupElement
-    e_client: bytes
-    e_server: bytes
-    reply_keypair: Optional[crypto.KeyPair]
-    session_key: Optional[bytes] = None
+    __slots__ = (
+        "server_id", "username", "blinded_element", "client_eph_pub", "eph_priv",
+        "eph_pub", "e_client", "e_server", "reply_keypair", "session_key",
+    )
+
+    def __init__(
+        self,
+        server_id: bytes,
+        username: bytes,
+        blinded_element: crypto.GroupElement,
+        client_eph_pub: crypto.GroupElement,
+        eph_priv: crypto.Scalar,
+        eph_pub: crypto.GroupElement,
+        e_client: bytes,
+        e_server: bytes,
+        reply_keypair: Optional[crypto.KeyPair],
+        session_key: Optional[bytes] = None,
+    ) -> None:
+        self.server_id = server_id
+        self.username = username
+        self.blinded_element = blinded_element
+        self.client_eph_pub = client_eph_pub
+        self.eph_priv = eph_priv
+        self.eph_pub = eph_pub
+        self.e_client = e_client
+        self.e_server = e_server
+        self.reply_keypair = reply_keypair
+        self.session_key = session_key
 
 
 def server_auth_phase1(

@@ -225,19 +225,12 @@ def observe_trace(
 # Attack drills: each scenario against a fresh in-memory deployment.
 # ---------------------------------------------------------------------------
 
-ATTACK_SCENARIOS = (
-    "duplicate-register",
-    "offline-gpm",
-    "malicious-server-tamper",
-    "replay",
-    "online-guess",
-)
-
 
 def run_attack(scenario: str) -> dict:
     """Stage one adversarial scenario against a fresh in-memory deployment.
 
-    Result dict always contains `defense_held`; details vary per scenario.
+    The scenario names are `cli.ATTACK_SCENARIOS`. Result dict always
+    contains `defense_held`; details vary per scenario.
     """
     sim_now = [1000.0]
     ledger = Ledger()

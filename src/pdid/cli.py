@@ -13,20 +13,16 @@ argv. Exit codes: 0 success, 1 protocol failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import getpass
 import json
 import os
-import statistics
 import sys
 import tempfile
 import time
 from collections import defaultdict
-from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
-from . import __version__, actors, adversary, crypto
+from . import __version__, actors, crypto
 from .actors import run_login, run_register, run_update
-from .adversary import ATTACK_SCENARIOS
 from .contract import GpmContract
 from .errors import AuthRejected, PdidError
 from .ledger import Ledger
@@ -51,6 +47,15 @@ REFERENCE_SIZES = {
 }
 
 
+ATTACK_SCENARIOS = (
+    "duplicate-register",
+    "offline-gpm",
+    "malicious-server-tamper",
+    "replay",
+    "online-guess",
+)
+
+
 class UsageError(Exception):
     """Bad invocation or missing deployment; maps to exit code 2."""
 
@@ -60,24 +65,65 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+# Each config key's JSON type, in the order `pdid init` writes them. A
+# bool is refused where an int or number is asked, though Python counts
+# it as an int.
+_CONFIG_TYPES = {
+    "ledger_path": (str, "a string"),
+    "sealed_state_path": (str, "a string"),
+    "contract_pk_path": (str, "a string"),
+    "sealing_key_path": (str, "a string"),
+    "n_nodes": (int, "an integer"),
+    "f": (int, "an integer"),
+    "rate_limit_attempts": (int, "an integer"),
+    "rate_limit_window_secs": ((int, float), "a number"),
+}
+
+
 class Config:
-    ledger_path: str = "ledger.log"
-    sealed_state_path: str = "gpm.sealed"
-    contract_pk_path: str = "contract_pk.hex"
-    sealing_key_path: str = "sealing.key"
-    n_nodes: int = 4
-    f: int = 1
-    rate_limit_attempts: int = 10
-    rate_limit_window_secs: float = 60.0
+    """Deployment settings: file paths, ledger shape and rate limit."""
+
+    __slots__ = tuple(_CONFIG_TYPES)
+
+    def __init__(
+        self,
+        ledger_path: str = "ledger.log",
+        sealed_state_path: str = "gpm.sealed",
+        contract_pk_path: str = "contract_pk.hex",
+        sealing_key_path: str = "sealing.key",
+        n_nodes: int = 4,
+        f: int = 1,
+        rate_limit_attempts: int = 10,
+        rate_limit_window_secs: float = 60.0,
+    ) -> None:
+        self.ledger_path = ledger_path
+        self.sealed_state_path = sealed_state_path
+        self.contract_pk_path = contract_pk_path
+        self.sealing_key_path = sealing_key_path
+        self.n_nodes = n_nodes
+        self.f = f
+        self.rate_limit_attempts = rate_limit_attempts
+        self.rate_limit_window_secs = rate_limit_window_secs
 
     @classmethod
     def load(cls, path: str) -> "Config":
+        """Read a config file, refusing anything but a JSON object of known
+        keys with values of their types; relative paths are taken from the
+        file's directory."""
         with open(path) as fh:
-            raw = json.load(fh)
-        unknown = set(raw) - set(cls.__dataclass_fields__)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise UsageError(f"config {path} must hold a JSON object")
+        unknown = set(raw) - set(_CONFIG_TYPES)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            kind, name = _CONFIG_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise UsageError(f"config key {key} must be {name}, not {json.dumps(value)}")
         cfg = cls(**raw)
         base = os.path.dirname(os.path.abspath(path))
         for attr in (
@@ -93,16 +139,23 @@ class Config:
 
     def write_defaults(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
+            json.dump({key: getattr(self, key) for key in self.__slots__}, fh, indent=2)
             fh.write("\n")
 
 
-@dataclass
 class Deployment:
-    config: Config
-    ledger: Ledger
-    gpm: GpmContract
-    sealing_key: bytes
+    """An opened deployment: its config, ledger, unsealed contract and
+    sealing key."""
+
+    __slots__ = ("config", "ledger", "gpm", "sealing_key")
+
+    def __init__(
+        self, config: Config, ledger: Ledger, gpm: GpmContract, sealing_key: bytes
+    ) -> None:
+        self.config = config
+        self.ledger = ledger
+        self.gpm = gpm
+        self.sealing_key = sealing_key
 
     def save(self) -> None:
         # A temp file of its own, so concurrent commands never rename away each other's.
@@ -156,6 +209,8 @@ def load_deployment(config: Config) -> Deployment:
 
 
 def _stats(samples: List[float]) -> dict:
+    import statistics
+
     ms = [s * 1000 for s in samples]
     return {
         "mean_ms": statistics.fmean(ms),
@@ -242,7 +297,7 @@ def run_benchmark(iterations: int = 50) -> dict:
     noise_flags = sorted(
         name for name, st in timings.items() if st["stdev_ms"] > st["mean_ms"]
     )
-    server_mean_s = statistics.fmean(raw["server_auth_total"])
+    server_mean_s = timings["server_auth_total"]["mean_ms"] / 1000
     return {
         "iterations": iterations,
         "timings_ms": timings,
@@ -273,6 +328,8 @@ def _get_password(env_var: str, prompt: str) -> bytes:
     value = os.environ.get(env_var)
     if value is not None:
         return value.encode("utf-8")
+    import getpass
+
     try:
         return getpass.getpass(prompt).encode("utf-8")
     except (EOFError, getpass.GetPassWarning) as exc:  # pragma: no cover
@@ -390,6 +447,8 @@ def cmd_update(args) -> dict:
 
 
 def cmd_attack(args) -> dict:
+    from . import adversary
+
     return adversary.run_attack(args.scenario)
 
 

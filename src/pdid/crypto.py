@@ -16,6 +16,13 @@ Python field arithmetic left, besides the map's one inversion and few
 products per input. Symmetric and box primitives are delegated to the
 `cryptography` package: ChaCha20-Poly1305 for AEAD, X25519 +
 ChaCha20-Poly1305 for public-key boxes, Ed25519 for detached signatures.
+Public keys leave OpenSSL as raw bytes or coordinates (`public_bytes_raw`,
+`public_numbers`), so this module does not import `cryptography`'s
+`serialization` package, which loads the SSH and RSA code with it.
+
+`Frozen` is the base of the immutable value types here and in the layers
+above. Its subclasses list their fields in `__slots__` and set them in an
+explicit `__init__`, so importing them generates no code.
 
 All randomness flows through :func:`random_bytes`, which can be swapped for a
 deterministic stream in tests via :func:`set_insecure_seed`.
@@ -26,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import secrets
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -45,10 +52,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
 
 from .errors import (
     AuthFailure,
@@ -156,22 +159,54 @@ def _add(x1: int, y1: int, x2: int, y2: int) -> tuple[Optional[int], Optional[in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
+class Frozen:
+    """Immutable value: equality, hashing and repr over the fields named in
+    `__slots__`, in that order. A subclass sets each field once, in its
+    `__init__`, with `object.__setattr__`; any later assignment raises
+    AttributeError. Subclasses also annotate their fields in the class
+    body, since type checkers do not follow `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # Reads every field in one C call, for __eq__ and __hash__.
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Scalar(Frozen):
     """Residue mod the group order; encodes to 32 little-endian bytes."""
 
+    __slots__ = ("value",)
     value: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or not 0 <= self.value < GROUP_ORDER:
+    def __init__(self, value: int) -> None:
+        if not isinstance(value, int) or not 0 <= value < GROUP_ORDER:
             raise InvalidScalar("scalar out of range")
+        object.__setattr__(self, "value", value)
 
     def encode(self) -> bytes:
         return self.value.to_bytes(SCALAR_LEN, "little")
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
+class GroupElement(Frozen):
     """Point on the curve; (None, None) is the group identity.
 
     Construction validates the curve equation, so any held instance passed a
@@ -179,14 +214,12 @@ class GroupElement:
     wire decoder refuses; it can only arise from in-process arithmetic.
     """
 
+    __slots__ = ("x", "y")
     x: Optional[int]
     y: Optional[int]
 
-    def __post_init__(self) -> None:
-        x, y = self.x, self.y
-        if x is None and y is None:
-            return
-        if (
+    def __init__(self, x: Optional[int], y: Optional[int]) -> None:
+        if (x is not None or y is not None) and (
             not isinstance(x, int)
             or not isinstance(y, int)
             or not 0 <= x < _P
@@ -194,6 +227,8 @@ class GroupElement:
             or (y * y - (x * x * x + _A * x + _B)) % _P != 0
         ):
             raise InvalidElement("point not on curve")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def is_identity(self) -> bool:
@@ -259,10 +294,8 @@ def base_exp(e: Scalar) -> GroupElement:
     """Generator raised to e (OpenSSL's constant-time fixed-base ladder)."""
     if e.value == 0:
         return IDENTITY
-    raw = derive_private_key(e.value, _CURVE).public_key().public_bytes(
-        Encoding.X962, PublicFormat.UncompressedPoint
-    )
-    return GroupElement(int.from_bytes(raw[1:33], "big"), int.from_bytes(raw[33:], "big"))
+    point = derive_private_key(e.value, _CURVE).public_key().public_numbers()
+    return GroupElement(point.x, point.y)
 
 
 def _ecdh_x(k: int, public: EllipticCurvePublicKey) -> int:
@@ -419,22 +452,22 @@ def aead_decrypt(key: bytes, ciphertext: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class KeyPair:
+class KeyPair(Frozen):
     """Raw byte keypair; the public half is always derivable from the secret."""
 
+    __slots__ = ("secret", "public")
     secret: bytes
     public: bytes
+
+    def __init__(self, secret: bytes, public: bytes) -> None:
+        object.__setattr__(self, "secret", secret)
+        object.__setattr__(self, "public", public)
 
 
 def pk_gen() -> KeyPair:
     """Fresh box keypair."""
     secret = random_bytes(BOX_SECRET_LEN)
-    public = (
-        X25519PrivateKey.from_private_bytes(secret)
-        .public_key()
-        .public_bytes(Encoding.Raw, PublicFormat.Raw)
-    )
+    public = X25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
     return KeyPair(secret, public)
 
 
@@ -459,7 +492,7 @@ def pk_encrypt(public: bytes, plaintext: bytes, entropy: Optional[bytes] = None)
         eph_secret = hash_parts("pke-eph", [entropy])
         nonce = hash_parts("pke-nonce", [entropy])[:AEAD_NONCE_LEN]
     eph = X25519PrivateKey.from_private_bytes(eph_secret)
-    eph_public = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    eph_public = eph.public_key().public_bytes_raw()
     shared = eph.exchange(X25519PublicKey.from_public_bytes(public))
     key = _box_key(eph_public, public, shared)
     body = ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
@@ -482,7 +515,7 @@ def pk_decrypt(secret: Union[bytes, X25519PrivateKey], ciphertext: bytes) -> byt
     eph_public = ciphertext[:BOX_PUBLIC_LEN]
     nonce = ciphertext[BOX_PUBLIC_LEN : BOX_PUBLIC_LEN + AEAD_NONCE_LEN]
     body = ciphertext[BOX_PUBLIC_LEN + AEAD_NONCE_LEN :]
-    public = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    public = sk.public_key().public_bytes_raw()
     try:
         shared = sk.exchange(X25519PublicKey.from_public_bytes(eph_public))
         key = _box_key(eph_public, public, shared)
@@ -499,11 +532,7 @@ def pk_decrypt(secret: Union[bytes, X25519PrivateKey], ciphertext: bytes) -> byt
 def sig_gen() -> KeyPair:
     """Fresh signing keypair (secret is the 32-byte seed)."""
     secret = random_bytes(SIG_SECRET_LEN)
-    public = (
-        Ed25519PrivateKey.from_private_bytes(secret)
-        .public_key()
-        .public_bytes(Encoding.Raw, PublicFormat.Raw)
-    )
+    public = Ed25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
     return KeyPair(secret, public)
 
 
@@ -511,7 +540,7 @@ def sig_public(secret: Union[bytes, Ed25519PrivateKey]) -> bytes:
     """Public half for a signing seed or, skipping the key setup, a signing_key."""
     if isinstance(secret, bytes):
         secret = signing_key(secret)
-    return secret.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    return secret.public_key().public_bytes_raw()
 
 
 def signing_key(secret: bytes) -> Ed25519PrivateKey:

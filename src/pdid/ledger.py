@@ -25,7 +25,6 @@ import struct
 import tempfile
 import threading
 import zlib
-from dataclasses import dataclass
 from typing import Optional
 
 from . import crypto
@@ -45,12 +44,16 @@ _ATTEST_LABEL = b"ledger-attest"
 _KINDS = {kind.value: kind for kind in TxKind}
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
+class Transaction(crypto.Frozen):
     """Opaque payload plus routing kind; the id is content-derived."""
 
+    __slots__ = ("kind", "payload")
     kind: TxKind
     payload: bytes
+
+    def __init__(self, kind: TxKind, payload: bytes) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
 
     @property
     def id(self) -> bytes:
@@ -106,13 +109,18 @@ def _scan(blob: bytes, pos: int, kinds: bytearray, payloads: list[bytes]) -> int
     return last
 
 
-@dataclass(frozen=True, slots=True)
-class InclusionProof:
+class InclusionProof(crypto.Frozen):
     """Claim that tx_id sits at seq, attested by the listed nodes."""
 
+    __slots__ = ("tx_id", "seq", "attestations")
     tx_id: bytes
     seq: int
     attestations: tuple[tuple[int, bytes], ...]  # (node index, signature)
+
+    def __init__(self, tx_id: bytes, seq: int, attestations: tuple[tuple[int, bytes], ...]) -> None:
+        object.__setattr__(self, "tx_id", tx_id)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "attestations", attestations)
 
 
 def attestation_message(tx_id: bytes, seq: int) -> bytes:

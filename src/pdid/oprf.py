@@ -10,9 +10,8 @@ pin that equality as the core correctness oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .crypto import (
+    Frozen,
     GroupElement,
     Scalar,
     exp,
@@ -35,12 +34,16 @@ def _output_key(m: bytes, e: GroupElement) -> bytes:
     return hash_parts(_OUTPUT_LABEL, [m, e.encode()])
 
 
-@dataclass(frozen=True, slots=True)
-class Blinding:
+class Blinding(Frozen):
     """Client-side blinding state: the scalar r and the element H'(m)^r."""
 
+    __slots__ = ("r", "alpha")
     r: Scalar
     alpha: GroupElement
+
+    def __init__(self, r: Scalar, alpha: GroupElement) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "alpha", alpha)
 
 
 def oprf_eval(k: Scalar, m: bytes) -> bytes:

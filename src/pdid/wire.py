@@ -13,7 +13,6 @@ Field offsets and the frozen size table live in FORMATS.md at the repo root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Union
 
@@ -24,6 +23,7 @@ from .crypto import (
     KEY_LEN,
     SCALAR_LEN,
     AEAD_OVERHEAD,
+    Frozen,
     GroupElement,
     Scalar,
     decode_element,
@@ -128,8 +128,7 @@ def _element_field(r: Reader) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PasswordMetadata:
+class PasswordMetadata(Frozen):
     """Per-user record held by the contract.
 
     `envelope` is an AEAD box under the user's OPRF output; it holds the
@@ -137,14 +136,29 @@ class PasswordMetadata:
     knows the password can recover their side of the key exchange.
     """
 
+    __slots__ = (
+        "oprf_key", "server_static_priv", "server_static_pub", "client_static_pub", "envelope",
+    )
     oprf_key: Scalar
     server_static_priv: Scalar
     server_static_pub: GroupElement
     client_static_pub: GroupElement
     envelope: bytes
 
-    def __post_init__(self) -> None:
-        _check_len(self.envelope, ENVELOPE_CT_LEN, "envelope")
+    def __init__(
+        self,
+        oprf_key: Scalar,
+        server_static_priv: Scalar,
+        server_static_pub: GroupElement,
+        client_static_pub: GroupElement,
+        envelope: bytes,
+    ) -> None:
+        _check_len(envelope, ENVELOPE_CT_LEN, "envelope")
+        object.__setattr__(self, "oprf_key", oprf_key)
+        object.__setattr__(self, "server_static_priv", server_static_priv)
+        object.__setattr__(self, "server_static_pub", server_static_pub)
+        object.__setattr__(self, "client_static_pub", client_static_pub)
+        object.__setattr__(self, "envelope", envelope)
 
     def encode(self) -> bytes:
         return bytes([MSG_METADATA]) + b"".join(
@@ -222,16 +236,21 @@ def decode_envelope_plaintext(data: bytes):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class UserAuthInit:
+class UserAuthInit(Frozen):
     """User's first flow: username, blinded password point, ephemeral share."""
 
+    __slots__ = ("username", "blinded_element", "client_eph_pub")
     username: bytes
     blinded_element: GroupElement
     client_eph_pub: GroupElement
 
-    def __post_init__(self) -> None:
-        _check_username(self.username)
+    def __init__(
+        self, username: bytes, blinded_element: GroupElement, client_eph_pub: GroupElement
+    ) -> None:
+        _check_username(username)
+        object.__setattr__(self, "username", username)
+        object.__setattr__(self, "blinded_element", blinded_element)
+        object.__setattr__(self, "client_eph_pub", client_eph_pub)
 
     def encode(self) -> bytes:
         return bytes([MSG_USER_AUTH_INIT]) + b"".join(
@@ -247,8 +266,7 @@ class UserAuthInit:
         return UserAuthInit(r.field(), _element_field(r), _element_field(r))
 
 
-@dataclass(frozen=True, slots=True)
-class GpmAuthRequest:
+class GpmAuthRequest(Frozen):
     """Server-assembled auth transaction body, encrypted to the contract.
 
     Carries everything the contract needs to run its half of the key
@@ -256,6 +274,10 @@ class GpmAuthRequest:
     secret, both exponent-combining hashes, and a fresh reply key.
     """
 
+    __slots__ = (
+        "username", "blinded_element", "client_eph_pub", "server_eph_priv",
+        "e_client", "e_server", "reply_pk",
+    )
     username: bytes
     blinded_element: GroupElement
     client_eph_pub: GroupElement
@@ -264,11 +286,27 @@ class GpmAuthRequest:
     e_server: bytes
     reply_pk: bytes
 
-    def __post_init__(self) -> None:
-        _check_username(self.username)
-        _check_len(self.e_client, DIGEST_LEN, "e_client")
-        _check_len(self.e_server, DIGEST_LEN, "e_server")
-        _check_len(self.reply_pk, BOX_PUBLIC_LEN, "reply_pk")
+    def __init__(
+        self,
+        username: bytes,
+        blinded_element: GroupElement,
+        client_eph_pub: GroupElement,
+        server_eph_priv: Scalar,
+        e_client: bytes,
+        e_server: bytes,
+        reply_pk: bytes,
+    ) -> None:
+        _check_username(username)
+        _check_len(e_client, DIGEST_LEN, "e_client")
+        _check_len(e_server, DIGEST_LEN, "e_server")
+        _check_len(reply_pk, BOX_PUBLIC_LEN, "reply_pk")
+        object.__setattr__(self, "username", username)
+        object.__setattr__(self, "blinded_element", blinded_element)
+        object.__setattr__(self, "client_eph_pub", client_eph_pub)
+        object.__setattr__(self, "server_eph_priv", server_eph_priv)
+        object.__setattr__(self, "e_client", e_client)
+        object.__setattr__(self, "e_server", e_server)
+        object.__setattr__(self, "reply_pk", reply_pk)
 
     def encode(self) -> bytes:
         return bytes([MSG_GPM_AUTH_REQUEST]) + b"".join(
@@ -296,17 +334,22 @@ class GpmAuthRequest:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class GpmAuthResponse:
+class GpmAuthResponse(Frozen):
     """Contract reply to the server: evaluated element, envelope, session key."""
 
+    __slots__ = ("evaluated_element", "envelope", "session_key")
     evaluated_element: GroupElement
     envelope: bytes
     session_key: bytes
 
-    def __post_init__(self) -> None:
-        _check_len(self.envelope, ENVELOPE_CT_LEN, "envelope")
-        _check_len(self.session_key, KEY_LEN, "session_key")
+    def __init__(
+        self, evaluated_element: GroupElement, envelope: bytes, session_key: bytes
+    ) -> None:
+        _check_len(envelope, ENVELOPE_CT_LEN, "envelope")
+        _check_len(session_key, KEY_LEN, "session_key")
+        object.__setattr__(self, "evaluated_element", evaluated_element)
+        object.__setattr__(self, "envelope", envelope)
+        object.__setattr__(self, "session_key", session_key)
 
     def encode(self) -> bytes:
         return bytes([MSG_GPM_AUTH_RESPONSE]) + b"".join(
@@ -322,17 +365,22 @@ class GpmAuthResponse:
         return GpmAuthResponse(_element_field(r), r.field(), r.field())
 
 
-@dataclass(frozen=True, slots=True)
-class ServerToUser:
+class ServerToUser(Frozen):
     """Server's second flow to the user: evaluated element, its ephemeral
     share, and the metadata envelope forwarded verbatim."""
 
+    __slots__ = ("evaluated_element", "server_eph_pub", "envelope")
     evaluated_element: GroupElement
     server_eph_pub: GroupElement
     envelope: bytes
 
-    def __post_init__(self) -> None:
-        _check_len(self.envelope, ENVELOPE_CT_LEN, "envelope")
+    def __init__(
+        self, evaluated_element: GroupElement, server_eph_pub: GroupElement, envelope: bytes
+    ) -> None:
+        _check_len(envelope, ENVELOPE_CT_LEN, "envelope")
+        object.__setattr__(self, "evaluated_element", evaluated_element)
+        object.__setattr__(self, "server_eph_pub", server_eph_pub)
+        object.__setattr__(self, "envelope", envelope)
 
     def encode(self) -> bytes:
         return bytes([MSG_SERVER_TO_USER]) + b"".join(
@@ -348,15 +396,17 @@ class ServerToUser:
         return ServerToUser(_element_field(r), _element_field(r), r.field())
 
 
-@dataclass(frozen=True, slots=True)
-class RegistrationPlaintext:
+class RegistrationPlaintext(Frozen):
     """Body of a registration transaction (before contract-key encryption)."""
 
+    __slots__ = ("username", "metadata")
     username: bytes
     metadata: PasswordMetadata
 
-    def __post_init__(self) -> None:
-        _check_username(self.username)
+    def __init__(self, username: bytes, metadata: PasswordMetadata) -> None:
+        _check_username(username)
+        object.__setattr__(self, "username", username)
+        object.__setattr__(self, "metadata", metadata)
 
     def encode(self) -> bytes:
         return bytes([MSG_REGISTRATION]) + b"".join(
@@ -368,19 +418,22 @@ class RegistrationPlaintext:
         return RegistrationPlaintext(r.field(), decode_metadata(r.field()))
 
 
-@dataclass(frozen=True, slots=True)
-class UpdatePlaintext:
+class UpdatePlaintext(Frozen):
     """Body of a password-update transaction: proves the old password and
     ships replacement metadata built under the new one."""
 
+    __slots__ = ("username", "password", "new_metadata")
     username: bytes
     password: bytes
     new_metadata: PasswordMetadata
 
-    def __post_init__(self) -> None:
-        _check_username(self.username)
-        if not isinstance(self.password, bytes):
+    def __init__(self, username: bytes, password: bytes, new_metadata: PasswordMetadata) -> None:
+        _check_username(username)
+        if not isinstance(password, bytes):
             raise MalformedRecord("password must be bytes")
+        object.__setattr__(self, "username", username)
+        object.__setattr__(self, "password", password)
+        object.__setattr__(self, "new_metadata", new_metadata)
 
     def encode(self) -> bytes:
         return bytes([MSG_UPDATE]) + b"".join(

@@ -195,8 +195,14 @@ def test_server_reply_key_is_one_shot():
 def test_server_session_holds_no_password_derived_values():
     # Structural blindness: the server's entire session state is the fixed
     # field set below; no password, OPRF key, envelope key, or static secret
-    # ever enters it.
-    assert set(actors.ServerSession.__dataclass_fields__) == {
+    # ever enters it, and a session has no __dict__ to take other attributes.
+    _, gpm = fresh()
+    _, init = actors.client_auth_init(b"alice", b"pw")
+    server, _ = actors.server_auth_phase1(b"srv", init, gpm.public_key)
+    assert not hasattr(server, "__dict__")
+    with pytest.raises(AttributeError):
+        server.password = b"pw"
+    assert set(actors.ServerSession.__slots__) == {
         "server_id",
         "username",
         "blinded_element",

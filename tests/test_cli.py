@@ -4,12 +4,14 @@ import getpass
 import inspect
 import json
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
 
 import pytest
 
+import pdid
 from pdid import actors, cli
 from pdid.contract import GpmContract
 from pdid.errors import PdidError
@@ -77,6 +79,24 @@ def test_init_is_idempotent_and_forceable(config_path, capsys):
     code, forced = run_json(["--config", config_path, "init", "--force"], capsys)
     assert code == 0 and forced["status"] == "initialized"
     assert forced["contract_public_key"] != first["contract_public_key"]
+
+
+DEFAULT_CONFIG = """{
+  "ledger_path": "ledger.log",
+  "sealed_state_path": "gpm.sealed",
+  "contract_pk_path": "contract_pk.hex",
+  "sealing_key_path": "sealing.key",
+  "n_nodes": 4,
+  "f": 1,
+  "rate_limit_attempts": 10,
+  "rate_limit_window_secs": 60.0
+}
+"""
+
+
+def test_init_writes_the_default_config_byte_for_byte(config_path, capsys):
+    assert run(["--config", config_path, "init"], capsys)[0] == 0
+    assert Path(config_path).read_text() == DEFAULT_CONFIG
 
 
 def test_init_creates_missing_deployment_directory(tmp_path, capsys, monkeypatch):
@@ -197,6 +217,31 @@ def test_failed_attempts_persist_across_processes(tmp_path, capsys, monkeypatch)
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n_nodes": 4,',
+        '["n_nodes", 4]',
+        '{"rate_limit_attempts": "ten"}',
+        '{"n_nodes": "4"}',
+        '{"f": true}',
+        '{"rate_limit_window_secs": "60"}',
+        '{"ledger_path": 5}',
+    ],
+    ids=["invalid-json", "array", "attempts-string", "nodes-string", "f-bool",
+         "window-string", "path-number"],
+)
+def test_bad_config_is_a_usage_error_before_any_ledger_write(config_path, capsys, text):
+    assert run(["--config", config_path, "init"], capsys)[0] == 0
+    ledger = Path(config_path).parent / "ledger.log"
+    before = ledger.read_bytes()
+    Path(config_path).write_text(text)
+    for command in (["register", "--username", "al"], ["login", "--username", "al"], ["init"]):
+        assert cli.main(["--config", config_path] + command) == 2
+        assert capsys.readouterr().err.startswith("error: config")
+    assert ledger.read_bytes() == before
+
+
 def test_missing_deployment_is_usage_error(config_path, capsys):
     code = cli.main(["--config", config_path, "login", "--username", "x"])
     assert code == 2
@@ -288,6 +333,32 @@ def test_bench_login_stages_are_disjoint_parts_of_the_round_trip(capsys):
         "gpm_auth", "server_phase2", "client_auth_finish",
     )
     assert sum(t[s]["mean_ms"] for s in stages) <= t["login_roundtrip"]["mean_ms"]
+
+
+def test_import_loads_no_module_a_command_does_not_run():
+    # Fresh interpreter: whatever the site set-up loaded before the import
+    # does not count against it.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pdid.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pdid.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "pdid.cli" in loaded
+    assert loaded.isdisjoint({
+        "dataclasses",
+        "inspect",
+        "statistics",
+        "getpass",
+        "pdid.adversary",
+        "cryptography.hazmat.primitives.serialization",
+    })
 
 
 def test_benchmark_entry_points_stay_bound():
