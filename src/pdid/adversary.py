@@ -16,7 +16,6 @@ outcome (rejections, zero confirmations, no plaintext identifiers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import actors, crypto, oprf
@@ -172,12 +171,14 @@ def offline_guesses_confirmed(
 OPAQUE_CHANNELS = ("server->ledger", "gpm->server")
 
 
-@dataclass
 class ObserverReport:
     """What a passive observer legitimately obtains, plus any violations."""
 
-    sizes: List[Tuple[str, int]] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
+    __slots__ = ("sizes", "violations")
+
+    def __init__(self) -> None:
+        self.sizes: List[Tuple[str, int]] = []
+        self.violations: List[str] = []
 
     @property
     def clean(self) -> bool:

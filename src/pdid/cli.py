@@ -65,51 +65,46 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-# Each config key's JSON type, in the order `pdid init` writes them. A
-# bool is refused where an int or number is asked, though Python counts
-# it as an int.
-_CONFIG_TYPES = {
-    "ledger_path": (str, "a string"),
-    "sealed_state_path": (str, "a string"),
-    "contract_pk_path": (str, "a string"),
-    "sealing_key_path": (str, "a string"),
-    "n_nodes": (int, "an integer"),
-    "f": (int, "an integer"),
-    "rate_limit_attempts": (int, "an integer"),
-    "rate_limit_window_secs": ((int, float), "a number"),
+# Each config key's default and JSON type, in the order `pdid init` writes
+# them. The string keys are file paths. A bool is refused where an int or
+# number is asked, though Python counts it as an int.
+_CONFIG_KEYS = {
+    "ledger_path": ("ledger.log", str, "a string"),
+    "sealed_state_path": ("gpm.sealed", str, "a string"),
+    "contract_pk_path": ("contract_pk.hex", str, "a string"),
+    "sealing_key_path": ("sealing.key", str, "a string"),
+    "n_nodes": (4, int, "an integer"),
+    "f": (1, int, "an integer"),
+    "rate_limit_attempts": (10, int, "an integer"),
+    "rate_limit_window_secs": (60.0, (int, float), "a number"),
 }
 
 
 class Config:
-    """Deployment settings: file paths, ledger shape and rate limit."""
+    """Deployment settings: file paths, ledger shape and rate limit; a key
+    not given takes its default from `_CONFIG_KEYS`."""
 
-    __slots__ = tuple(_CONFIG_TYPES)
+    __slots__ = tuple(_CONFIG_KEYS)
+    ledger_path: str
+    sealed_state_path: str
+    contract_pk_path: str
+    sealing_key_path: str
+    n_nodes: int
+    f: int
+    rate_limit_attempts: int
+    rate_limit_window_secs: float
 
-    def __init__(
-        self,
-        ledger_path: str = "ledger.log",
-        sealed_state_path: str = "gpm.sealed",
-        contract_pk_path: str = "contract_pk.hex",
-        sealing_key_path: str = "sealing.key",
-        n_nodes: int = 4,
-        f: int = 1,
-        rate_limit_attempts: int = 10,
-        rate_limit_window_secs: float = 60.0,
-    ) -> None:
-        self.ledger_path = ledger_path
-        self.sealed_state_path = sealed_state_path
-        self.contract_pk_path = contract_pk_path
-        self.sealing_key_path = sealing_key_path
-        self.n_nodes = n_nodes
-        self.f = f
-        self.rate_limit_attempts = rate_limit_attempts
-        self.rate_limit_window_secs = rate_limit_window_secs
+    def __init__(self, **values: object) -> None:
+        for key, (default, _, _) in _CONFIG_KEYS.items():
+            setattr(self, key, values.pop(key, default))
+        if values:
+            raise TypeError(f"unknown config keys: {sorted(values)}")
 
     @classmethod
     def load(cls, path: str) -> "Config":
         """Read a config file, refusing anything but a JSON object of known
-        keys with values of their types; relative paths are taken from the
-        file's directory."""
+        keys with values of their types and in their ranges; relative paths
+        are taken from the file's directory."""
         with open(path) as fh:
             try:
                 raw = json.load(fh)
@@ -117,24 +112,26 @@ class Config:
                 raise UsageError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise UsageError(f"config {path} must hold a JSON object")
-        unknown = set(raw) - set(_CONFIG_TYPES)
+        unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
-            kind, name = _CONFIG_TYPES[key]
+            _, kind, name = _CONFIG_KEYS[key]
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise UsageError(f"config key {key} must be {name}, not {json.dumps(value)}")
         cfg = cls(**raw)
+        if not (0 <= cfg.f and cfg.n_nodes == 3 * cfg.f + 1 <= 255):
+            raise UsageError(f"config keys n_nodes and f must have n_nodes = 3f + 1 <= 255, "
+                             f"not {cfg.n_nodes} and {cfg.f}")
+        if cfg.rate_limit_attempts < 1:
+            raise UsageError("config key rate_limit_attempts must be at least 1")
+        if not 0 < cfg.rate_limit_window_secs < float("inf"):
+            raise UsageError("config key rate_limit_window_secs must be positive and finite")
         base = os.path.dirname(os.path.abspath(path))
-        for attr in (
-            "ledger_path",
-            "sealed_state_path",
-            "contract_pk_path",
-            "sealing_key_path",
-        ):
-            value = getattr(cfg, attr)
-            if not os.path.isabs(value):
-                setattr(cfg, attr, os.path.join(base, value))
+        for key, (_, kind, _) in _CONFIG_KEYS.items():
+            value = getattr(cfg, key)
+            if kind is str and not os.path.isabs(value):
+                setattr(cfg, key, os.path.join(base, value))
         return cfg
 
     def write_defaults(self, path: str) -> None:

@@ -304,11 +304,10 @@ class GpmContract:
         (count,) = struct.unpack(">I", ar.take(4))
         for _ in range(count):
             username = ar.field()
-            blob_times = ar.field()
-            (n_times,) = struct.unpack(">I", blob_times[:4])
-            if len(blob_times) != 4 + 8 * n_times:
-                raise MalformedRecord("bad attempt record")
-            attempts[username] = list(struct.unpack(f">{n_times}d", blob_times[4:]))
+            tr = Reader(ar.field())
+            (n_times,) = struct.unpack(">I", tr.take(4))
+            attempts[username] = list(struct.unpack(f">{n_times}d", tr.take(8 * n_times)))
+            tr.expect_done()
         ar.expect_done()
 
         return cls(

@@ -21,8 +21,9 @@ Public keys leave OpenSSL as raw bytes or coordinates (`public_bytes_raw`,
 `serialization` package, which loads the SSH and RSA code with it.
 
 `Frozen` is the base of the immutable value types here and in the layers
-above. Its subclasses list their fields in `__slots__` and set them in an
-explicit `__init__`, so importing them generates no code.
+above. Its one `__init__` sets the fields a subclass names in `__slots__`,
+so importing them generates no code; the hot `Scalar` and `GroupElement`
+keep their own, which also check their values.
 
 All randomness flows through :func:`random_bytes`, which can be swapped for a
 deterministic stream in tests via :func:`set_insecure_seed`.
@@ -160,17 +161,31 @@ def _add(x1: int, y1: int, x2: int, y2: int) -> tuple[Optional[int], Optional[in
 
 
 class Frozen:
-    """Immutable value: equality, hashing and repr over the fields named in
-    `__slots__`, in that order. A subclass sets each field once, in its
-    `__init__`, with `object.__setattr__`; any later assignment raises
-    AttributeError. Subclasses also annotate their fields in the class
-    body, since type checkers do not follow `object.__setattr__`."""
+    """Immutable value over the fields named in `__slots__`, in that order.
+    `__init__` takes each field once, by position or keyword (TypeError
+    otherwise); equality, hashing and repr read the same fields; any later
+    assignment raises AttributeError. Subclasses annotate their fields for
+    type checkers. A subclass with empty `__slots__` is an abstract base."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # Reads every field in one C call, for __eq__ and __hash__.
-        cls._fields = attrgetter(*cls.__slots__)
+        super().__init_subclass__()
+        if cls.__slots__:
+            # Reads every field in one C call, for __eq__ and __hash__.
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values: object, **named: object) -> None:
+        slots = self.__slots__
+        if named:
+            try:
+                values += tuple(named.pop(name) for name in slots[len(values) :])
+            except KeyError:
+                pass  # a field is missing: too few values, refused below
+        if named or len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes each of {', '.join(slots)} once")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
@@ -458,10 +473,6 @@ class KeyPair(Frozen):
     __slots__ = ("secret", "public")
     secret: bytes
     public: bytes
-
-    def __init__(self, secret: bytes, public: bytes) -> None:
-        object.__setattr__(self, "secret", secret)
-        object.__setattr__(self, "public", public)
 
 
 def pk_gen() -> KeyPair:

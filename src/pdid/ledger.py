@@ -51,10 +51,6 @@ class Transaction(crypto.Frozen):
     kind: TxKind
     payload: bytes
 
-    def __init__(self, kind: TxKind, payload: bytes) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-
     @property
     def id(self) -> bytes:
         return _tx_id(self.payload)
@@ -116,11 +112,6 @@ class InclusionProof(crypto.Frozen):
     tx_id: bytes
     seq: int
     attestations: tuple[tuple[int, bytes], ...]  # (node index, signature)
-
-    def __init__(self, tx_id: bytes, seq: int, attestations: tuple[tuple[int, bytes], ...]) -> None:
-        object.__setattr__(self, "tx_id", tx_id)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "attestations", attestations)
 
 
 def attestation_message(tx_id: bytes, seq: int) -> bytes:

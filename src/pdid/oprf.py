@@ -41,10 +41,6 @@ class Blinding(Frozen):
     r: Scalar
     alpha: GroupElement
 
-    def __init__(self, r: Scalar, alpha: GroupElement) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "alpha", alpha)
-
 
 def oprf_eval(k: Scalar, m: bytes) -> bytes:
     """Direct evaluation for the key holder; returns a 32-byte key."""

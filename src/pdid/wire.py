@@ -8,13 +8,17 @@ no trailing bytes, and scalar/element fields must pass range and group
 membership checks. A buffer either parses to exactly one message (and
 re-encodes to the same bytes) or raises; there is no lenient path.
 
+Field-kind rule: a message class names its fields in `__slots__` and gives
+each a kind in `_kinds`, a `(check, encode, decode)` triple. `check(value,
+name)` runs at construction (None: no check), `encode` gives the field
+bytes and `decode` the value back; the shared `Message` base does the rest.
+
 Field offsets and the frozen size table live in FORMATS.md at the repo root.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Union
 
 from .crypto import (
     BOX_PUBLIC_LEN,
@@ -72,11 +76,7 @@ class Reader:
         self._pos = 0
 
     def u8(self) -> int:
-        if self._pos + 1 > len(self._data):
-            raise MalformedRecord("truncated record")
-        b = self._data[self._pos]
-        self._pos += 1
-        return b
+        return self.take(1)[0]
 
     def field(self) -> bytes:
         if self._pos + 2 > len(self._data):
@@ -101,7 +101,7 @@ class Reader:
             raise MalformedRecord("trailing bytes after record")
 
 
-def _check_username(username: bytes) -> None:
+def _check_username(username: bytes, name: str) -> None:
     if not isinstance(username, bytes) or not 1 <= len(username) <= MAX_USERNAME_LEN:
         raise MalformedRecord("username must be 1..64 bytes")
     try:
@@ -110,25 +110,64 @@ def _check_username(username: bytes) -> None:
         raise MalformedRecord("username must be valid UTF-8") from exc
 
 
+def _check_bytes(value: bytes, name: str) -> None:
+    if not isinstance(value, bytes):
+        raise MalformedRecord(f"{name} must be bytes")
+
+
 def _check_len(data: bytes, expected: int, what: str) -> None:
     if not isinstance(data, bytes) or len(data) != expected:
         raise MalformedRecord(f"{what} must be {expected} bytes")
 
 
-def _scalar_field(r: Reader) -> Scalar:
-    return decode_scalar(r.field())
-
-
-def _element_field(r: Reader) -> GroupElement:
-    return decode_element(r.field())
-
-
 # ---------------------------------------------------------------------------
-# Stored metadata and the envelope it carries.
+# Messages, described by their fields.
 # ---------------------------------------------------------------------------
 
+_REGISTRY: dict[int, type[Message]] = {}
 
-class PasswordMetadata(Frozen):
+
+class Message(Frozen):
+    """A tagged message of u16-framed fields, described by `_tag`,
+    `__slots__` and `_kinds`; subclassing registers the tag."""
+
+    __slots__ = ()
+    _tag: int
+    _kinds: tuple
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        _REGISTRY[cls._tag] = cls
+
+    def __init__(self, *values: object, **named: object) -> None:
+        super().__init__(*values, **named)
+        for name, (check, _, _) in zip(self.__slots__, self._kinds):
+            if check:
+                check(getattr(self, name), name)
+
+    def encode(self) -> bytes:
+        return bytes([self._tag]) + b"".join(
+            pack_field(encode(getattr(self, name)))
+            for name, (_, encode, _) in zip(self.__slots__, self._kinds)
+        )
+
+
+def _fixed(n: int) -> tuple:
+    """Kind of a bytes field of exactly n bytes."""
+    return (lambda value, name: _check_len(value, n, name), bytes, bytes)
+
+
+# Element and metadata decoders are looked up by name on each call, so a
+# wrapper bound over that name (the benchmark's tracer) sees nested decodes.
+USERNAME = (_check_username, bytes, bytes)
+PASSWORD = (_check_bytes, bytes, bytes)
+SCALAR = (None, Scalar.encode, decode_scalar)
+ELEMENT = (None, GroupElement.encode, lambda field: decode_element(field))
+ENVELOPE = _fixed(ENVELOPE_CT_LEN)
+DIGEST = _fixed(DIGEST_LEN)
+
+
+class PasswordMetadata(Message):
     """Per-user record held by the contract.
 
     `envelope` is an AEAD box under the user's OPRF output; it holds the
@@ -139,51 +178,13 @@ class PasswordMetadata(Frozen):
     __slots__ = (
         "oprf_key", "server_static_priv", "server_static_pub", "client_static_pub", "envelope",
     )
+    _tag = MSG_METADATA
+    _kinds = (SCALAR, SCALAR, ELEMENT, ELEMENT, ENVELOPE)
     oprf_key: Scalar
     server_static_priv: Scalar
     server_static_pub: GroupElement
     client_static_pub: GroupElement
     envelope: bytes
-
-    def __init__(
-        self,
-        oprf_key: Scalar,
-        server_static_priv: Scalar,
-        server_static_pub: GroupElement,
-        client_static_pub: GroupElement,
-        envelope: bytes,
-    ) -> None:
-        _check_len(envelope, ENVELOPE_CT_LEN, "envelope")
-        object.__setattr__(self, "oprf_key", oprf_key)
-        object.__setattr__(self, "server_static_priv", server_static_priv)
-        object.__setattr__(self, "server_static_pub", server_static_pub)
-        object.__setattr__(self, "client_static_pub", client_static_pub)
-        object.__setattr__(self, "envelope", envelope)
-
-    def encode(self) -> bytes:
-        return bytes([MSG_METADATA]) + b"".join(
-            (
-                pack_field(self.oprf_key.encode()),
-                pack_field(self.server_static_priv.encode()),
-                pack_field(self.server_static_pub.encode()),
-                pack_field(self.client_static_pub.encode()),
-                pack_field(self.envelope),
-            )
-        )
-
-    @staticmethod
-    def _decode_body(r: Reader) -> "PasswordMetadata":
-        return PasswordMetadata(
-            oprf_key=_scalar_field(r),
-            server_static_priv=_scalar_field(r),
-            server_static_pub=_element_field(r),
-            client_static_pub=_element_field(r),
-            envelope=r.field(),
-        )
-
-
-def encode_metadata(meta: PasswordMetadata) -> bytes:
-    return meta.encode()
 
 
 def decode_metadata(data: bytes) -> PasswordMetadata:
@@ -193,6 +194,9 @@ def decode_metadata(data: bytes) -> PasswordMetadata:
     return msg
 
 
+METADATA = (None, Message.encode, lambda field: decode_metadata(field))
+
+
 def decode_auth_metadata(data: bytes) -> tuple[Scalar, Scalar, GroupElement, bytes]:
     """The fields of a metadata record that authentication uses: OPRF key,
     server static private key, client static public key, envelope. The
@@ -200,9 +204,9 @@ def decode_auth_metadata(data: bytes) -> tuple[Scalar, Scalar, GroupElement, byt
     r = Reader(data)
     if r.u8() != MSG_METADATA:
         raise MalformedRecord("expected a metadata record")
-    oprf_key, server_static_priv = _scalar_field(r), _scalar_field(r)
+    oprf_key, server_static_priv = decode_scalar(r.field()), decode_scalar(r.field())
     _check_len(r.field(), ELEMENT_LEN, "server static public key")
-    client_static_pub, envelope = _element_field(r), r.field()
+    client_static_pub, envelope = decode_element(r.field()), r.field()
     _check_len(envelope, ENVELOPE_CT_LEN, "envelope")
     r.expect_done()
     return oprf_key, server_static_priv, client_static_pub, envelope
@@ -236,37 +240,18 @@ def decode_envelope_plaintext(data: bytes):
 # ---------------------------------------------------------------------------
 
 
-class UserAuthInit(Frozen):
+class UserAuthInit(Message):
     """User's first flow: username, blinded password point, ephemeral share."""
 
     __slots__ = ("username", "blinded_element", "client_eph_pub")
+    _tag = MSG_USER_AUTH_INIT
+    _kinds = (USERNAME, ELEMENT, ELEMENT)
     username: bytes
     blinded_element: GroupElement
     client_eph_pub: GroupElement
 
-    def __init__(
-        self, username: bytes, blinded_element: GroupElement, client_eph_pub: GroupElement
-    ) -> None:
-        _check_username(username)
-        object.__setattr__(self, "username", username)
-        object.__setattr__(self, "blinded_element", blinded_element)
-        object.__setattr__(self, "client_eph_pub", client_eph_pub)
 
-    def encode(self) -> bytes:
-        return bytes([MSG_USER_AUTH_INIT]) + b"".join(
-            (
-                pack_field(self.username),
-                pack_field(self.blinded_element.encode()),
-                pack_field(self.client_eph_pub.encode()),
-            )
-        )
-
-    @staticmethod
-    def _decode_body(r: Reader) -> "UserAuthInit":
-        return UserAuthInit(r.field(), _element_field(r), _element_field(r))
-
-
-class GpmAuthRequest(Frozen):
+class GpmAuthRequest(Message):
     """Server-assembled auth transaction body, encrypted to the contract.
 
     Carries everything the contract needs to run its half of the key
@@ -278,6 +263,8 @@ class GpmAuthRequest(Frozen):
         "username", "blinded_element", "client_eph_pub", "server_eph_priv",
         "e_client", "e_server", "reply_pk",
     )
+    _tag = MSG_GPM_AUTH_REQUEST
+    _kinds = (USERNAME, ELEMENT, ELEMENT, SCALAR, DIGEST, DIGEST, _fixed(BOX_PUBLIC_LEN))
     username: bytes
     blinded_element: GroupElement
     client_eph_pub: GroupElement
@@ -286,188 +273,50 @@ class GpmAuthRequest(Frozen):
     e_server: bytes
     reply_pk: bytes
 
-    def __init__(
-        self,
-        username: bytes,
-        blinded_element: GroupElement,
-        client_eph_pub: GroupElement,
-        server_eph_priv: Scalar,
-        e_client: bytes,
-        e_server: bytes,
-        reply_pk: bytes,
-    ) -> None:
-        _check_username(username)
-        _check_len(e_client, DIGEST_LEN, "e_client")
-        _check_len(e_server, DIGEST_LEN, "e_server")
-        _check_len(reply_pk, BOX_PUBLIC_LEN, "reply_pk")
-        object.__setattr__(self, "username", username)
-        object.__setattr__(self, "blinded_element", blinded_element)
-        object.__setattr__(self, "client_eph_pub", client_eph_pub)
-        object.__setattr__(self, "server_eph_priv", server_eph_priv)
-        object.__setattr__(self, "e_client", e_client)
-        object.__setattr__(self, "e_server", e_server)
-        object.__setattr__(self, "reply_pk", reply_pk)
 
-    def encode(self) -> bytes:
-        return bytes([MSG_GPM_AUTH_REQUEST]) + b"".join(
-            (
-                pack_field(self.username),
-                pack_field(self.blinded_element.encode()),
-                pack_field(self.client_eph_pub.encode()),
-                pack_field(self.server_eph_priv.encode()),
-                pack_field(self.e_client),
-                pack_field(self.e_server),
-                pack_field(self.reply_pk),
-            )
-        )
-
-    @staticmethod
-    def _decode_body(r: Reader) -> "GpmAuthRequest":
-        return GpmAuthRequest(
-            r.field(),
-            _element_field(r),
-            _element_field(r),
-            _scalar_field(r),
-            r.field(),
-            r.field(),
-            r.field(),
-        )
-
-
-class GpmAuthResponse(Frozen):
+class GpmAuthResponse(Message):
     """Contract reply to the server: evaluated element, envelope, session key."""
 
     __slots__ = ("evaluated_element", "envelope", "session_key")
+    _tag = MSG_GPM_AUTH_RESPONSE
+    _kinds = (ELEMENT, ENVELOPE, _fixed(KEY_LEN))
     evaluated_element: GroupElement
     envelope: bytes
     session_key: bytes
 
-    def __init__(
-        self, evaluated_element: GroupElement, envelope: bytes, session_key: bytes
-    ) -> None:
-        _check_len(envelope, ENVELOPE_CT_LEN, "envelope")
-        _check_len(session_key, KEY_LEN, "session_key")
-        object.__setattr__(self, "evaluated_element", evaluated_element)
-        object.__setattr__(self, "envelope", envelope)
-        object.__setattr__(self, "session_key", session_key)
 
-    def encode(self) -> bytes:
-        return bytes([MSG_GPM_AUTH_RESPONSE]) + b"".join(
-            (
-                pack_field(self.evaluated_element.encode()),
-                pack_field(self.envelope),
-                pack_field(self.session_key),
-            )
-        )
-
-    @staticmethod
-    def _decode_body(r: Reader) -> "GpmAuthResponse":
-        return GpmAuthResponse(_element_field(r), r.field(), r.field())
-
-
-class ServerToUser(Frozen):
+class ServerToUser(Message):
     """Server's second flow to the user: evaluated element, its ephemeral
     share, and the metadata envelope forwarded verbatim."""
 
     __slots__ = ("evaluated_element", "server_eph_pub", "envelope")
+    _tag = MSG_SERVER_TO_USER
+    _kinds = (ELEMENT, ELEMENT, ENVELOPE)
     evaluated_element: GroupElement
     server_eph_pub: GroupElement
     envelope: bytes
 
-    def __init__(
-        self, evaluated_element: GroupElement, server_eph_pub: GroupElement, envelope: bytes
-    ) -> None:
-        _check_len(envelope, ENVELOPE_CT_LEN, "envelope")
-        object.__setattr__(self, "evaluated_element", evaluated_element)
-        object.__setattr__(self, "server_eph_pub", server_eph_pub)
-        object.__setattr__(self, "envelope", envelope)
 
-    def encode(self) -> bytes:
-        return bytes([MSG_SERVER_TO_USER]) + b"".join(
-            (
-                pack_field(self.evaluated_element.encode()),
-                pack_field(self.server_eph_pub.encode()),
-                pack_field(self.envelope),
-            )
-        )
-
-    @staticmethod
-    def _decode_body(r: Reader) -> "ServerToUser":
-        return ServerToUser(_element_field(r), _element_field(r), r.field())
-
-
-class RegistrationPlaintext(Frozen):
+class RegistrationPlaintext(Message):
     """Body of a registration transaction (before contract-key encryption)."""
 
     __slots__ = ("username", "metadata")
+    _tag = MSG_REGISTRATION
+    _kinds = (USERNAME, METADATA)
     username: bytes
     metadata: PasswordMetadata
 
-    def __init__(self, username: bytes, metadata: PasswordMetadata) -> None:
-        _check_username(username)
-        object.__setattr__(self, "username", username)
-        object.__setattr__(self, "metadata", metadata)
 
-    def encode(self) -> bytes:
-        return bytes([MSG_REGISTRATION]) + b"".join(
-            (pack_field(self.username), pack_field(self.metadata.encode()))
-        )
-
-    @staticmethod
-    def _decode_body(r: Reader) -> "RegistrationPlaintext":
-        return RegistrationPlaintext(r.field(), decode_metadata(r.field()))
-
-
-class UpdatePlaintext(Frozen):
+class UpdatePlaintext(Message):
     """Body of a password-update transaction: proves the old password and
     ships replacement metadata built under the new one."""
 
     __slots__ = ("username", "password", "new_metadata")
+    _tag = MSG_UPDATE
+    _kinds = (USERNAME, PASSWORD, METADATA)
     username: bytes
     password: bytes
     new_metadata: PasswordMetadata
-
-    def __init__(self, username: bytes, password: bytes, new_metadata: PasswordMetadata) -> None:
-        _check_username(username)
-        if not isinstance(password, bytes):
-            raise MalformedRecord("password must be bytes")
-        object.__setattr__(self, "username", username)
-        object.__setattr__(self, "password", password)
-        object.__setattr__(self, "new_metadata", new_metadata)
-
-    def encode(self) -> bytes:
-        return bytes([MSG_UPDATE]) + b"".join(
-            (
-                pack_field(self.username),
-                pack_field(self.password),
-                pack_field(self.new_metadata.encode()),
-            )
-        )
-
-    @staticmethod
-    def _decode_body(r: Reader) -> "UpdatePlaintext":
-        return UpdatePlaintext(r.field(), r.field(), decode_metadata(r.field()))
-
-
-Message = Union[
-    UserAuthInit,
-    GpmAuthRequest,
-    GpmAuthResponse,
-    ServerToUser,
-    RegistrationPlaintext,
-    UpdatePlaintext,
-    PasswordMetadata,
-]
-
-_REGISTRY = {
-    MSG_USER_AUTH_INIT: UserAuthInit,
-    MSG_GPM_AUTH_REQUEST: GpmAuthRequest,
-    MSG_GPM_AUTH_RESPONSE: GpmAuthResponse,
-    MSG_SERVER_TO_USER: ServerToUser,
-    MSG_REGISTRATION: RegistrationPlaintext,
-    MSG_UPDATE: UpdatePlaintext,
-    MSG_METADATA: PasswordMetadata,
-}
 
 
 def decode_message(data: bytes) -> Message:
@@ -477,7 +326,7 @@ def decode_message(data: bytes) -> Message:
     cls = _REGISTRY.get(tag)
     if cls is None:
         raise MalformedRecord(f"unknown message tag {tag}")
-    msg = cls._decode_body(r)
+    msg = cls(*[decode(r.field()) for _, _, decode in cls._kinds])
     r.expect_done()
     return msg
 

@@ -242,6 +242,43 @@ def test_bad_config_is_a_usage_error_before_any_ledger_write(config_path, capsys
     assert ledger.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n_nodes": 5}',
+        '{"n_nodes": 256, "f": 85}',
+        '{"n_nodes": -2, "f": -1}',
+        '{"rate_limit_attempts": 0}',
+        '{"rate_limit_window_secs": -5}',
+        '{"rate_limit_window_secs": 0}',
+        '{"rate_limit_window_secs": NaN}',
+        '{"rate_limit_window_secs": Infinity}',
+    ],
+    ids=["nodes-not-3f+1", "nodes-over-255", "f-negative", "attempts-zero", "window-negative",
+         "window-zero", "window-nan", "window-infinite"],
+)
+def test_out_of_range_config_is_a_usage_error_before_any_file_is_touched(
+    config_path, capsys, text
+):
+    Path(config_path).write_text(text)
+    assert cli.main(["--config", config_path, "init"]) == 2
+    assert capsys.readouterr().err.startswith("error: config")
+    assert os.listdir(os.path.dirname(config_path)) == [os.path.basename(config_path)]
+    # On a live deployment too: no command changes its files.
+    Path(config_path).unlink()
+    assert run(["--config", config_path, "init"], capsys)[0] == 0
+
+    def deployment():
+        return {p: p.read_bytes() for p in Path(config_path).parent.iterdir() if str(p) != config_path}
+
+    before = deployment()
+    Path(config_path).write_text(text)
+    for command in (["register", "--username", "al"], ["login", "--username", "al"], ["init"]):
+        assert cli.main(["--config", config_path] + command) == 2
+        assert capsys.readouterr().err.startswith("error: config")
+    assert deployment() == before
+
+
 def test_missing_deployment_is_usage_error(config_path, capsys):
     code = cli.main(["--config", config_path, "login", "--username", "x"])
     assert code == 2

@@ -133,6 +133,23 @@ def test_unseal_refuses_a_bad_metadata_record(forge):
         GpmContract.unseal(blob, key, tx_verifier=ledger.tx_included)
 
 
+@pytest.mark.parametrize(
+    "times",
+    [b"", b"\x00\x00\x01", struct.pack(">I", 2) + bytes(8), struct.pack(">I", 0) + bytes(8)],
+    ids=["empty", "short-count", "short-times", "trailing"],
+)
+def test_unseal_refuses_a_bad_attempt_record(times):
+    ledger, gpm, key = registered()
+    r = wire.Reader(state_plaintext(gpm, key))
+    tag, secret, public, users = r.u8(), r.field(), r.field(), r.field()
+    attempts = struct.pack(">I", 1) + wire.pack_field(b"alice") + wire.pack_field(times)
+    state = bytes([tag]) + b"".join(
+        wire.pack_field(part) for part in (secret, public, users, attempts)
+    )
+    with pytest.raises(MalformedRecord):
+        GpmContract.unseal(crypto.aead_encrypt(key, state), key, tx_verifier=ledger.tx_included)
+
+
 def off_curve_x() -> bytes:
     """A 32-byte x with no point on P-256 (x^3 - 3x + b a non-residue)."""
     p = 2**256 - 2**224 + 2**192 + 2**96 - 1

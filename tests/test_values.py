@@ -103,6 +103,41 @@ def test_group_types_keep_their_construction_checks():
         crypto.GroupElement(None, G1.y)
 
 
+# One constructor, from __slots__, for every Frozen type but the two group
+# types: a plain value type and a wire message refuse the same mistakes.
+CONSTRUCTED = [
+    (crypto.KeyPair, {"secret": b"s" * 32, "public": b"p" * 32}),
+    (wire.UserAuthInit, {"username": b"alice", "blinded_element": G1, "client_eph_pub": G2}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", CONSTRUCTED, ids=[c[0].__name__ for c in CONSTRUCTED])
+def test_constructor_takes_each_field_exactly_once(cls, fields):
+    args = tuple(fields.values())
+    first, *rest = fields
+    assert cls(**fields) == cls(*args) == cls(args[0], **{k: fields[k] for k in rest})
+    bad_calls = [
+        (args[:-1], {}),                     # missing, positionally
+        ((), dict(list(fields.items())[1:])),  # missing, by keyword
+        (args + (b"extra",), {}),            # extra positional
+        (args, {"unknown": b"x"}),           # unknown keyword
+        (args, {first: fields[first]}),      # positional and keyword
+    ]
+    for values, named in bad_calls:
+        with pytest.raises(TypeError):
+            cls(*values, **named)
+
+
+def test_every_message_has_one_kind_per_field_and_its_own_tag():
+    messages = wire.Message.__subclasses__()
+    assert len(messages) == 7
+    assert sorted(cls._tag for cls in messages) == list(range(1, 8))
+    for cls in messages:
+        assert len(cls._kinds) == len(cls.__slots__) > 0
+        assert all(len(kind) == 3 for kind in cls._kinds)
+        assert wire._REGISTRY[cls._tag] is cls
+
+
 # ---------------------------------------------------------------------------
 # Construction cost against the frozen slotted dataclasses these replaced.
 # ---------------------------------------------------------------------------

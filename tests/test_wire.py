@@ -1,9 +1,52 @@
-"""Canonical encoding round trips, frozen sizes, and strict-decode behavior."""
+"""Canonical encoding round trips, frozen sizes, and strict-decode behavior.
+
+`golden_messages.json` pins one seeded encoding of each of the seven
+message kinds, with the fields it was built from (scalars and elements as
+their encodings, nested metadata as its own fields). It was written once
+and must not be regenerated: a changed byte there is a wire format change.
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from pdid import crypto, wire
 from pdid.errors import MalformedRecord, PdidError
+
+
+GOLDEN_MESSAGES = Path(__file__).with_name("golden_messages.json")
+SCALAR_FIELDS = {"oprf_key", "server_static_priv", "server_eph_priv"}
+ELEMENT_FIELDS = {
+    "blinded_element", "client_eph_pub", "server_static_pub", "client_static_pub",
+    "evaluated_element", "server_eph_pub",
+}
+
+
+def rebuild(cls, fields):
+    """cls built by keyword from golden fields."""
+    values = {}
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            values[name] = rebuild(wire.PasswordMetadata, value)
+        elif name in SCALAR_FIELDS:
+            values[name] = crypto.decode_scalar(bytes.fromhex(value))
+        elif name in ELEMENT_FIELDS:
+            values[name] = crypto.decode_element(bytes.fromhex(value))
+        else:
+            values[name] = bytes.fromhex(value)
+    return cls(**values)
+
+
+def test_golden_encodings_of_every_message_kind():
+    golden = json.loads(GOLDEN_MESSAGES.read_text())
+    assert sorted(golden) == sorted(cls.__name__ for cls in wire.Message.__subclasses__())
+    for name, entry in golden.items():
+        msg = rebuild(getattr(wire, name), entry["fields"])
+        encoded = bytes.fromhex(entry["hex"])
+        assert msg.encode() == encoded
+        assert wire.decode_message(encoded).encode() == encoded
+        assert wire.decode_message(encoded) == msg
 
 
 def random_element():
@@ -86,7 +129,7 @@ def test_plaintext_messages_fit_reference_band():
 
 def test_metadata_round_trip_and_cap():
     meta = random_metadata()
-    encoded = wire.encode_metadata(meta)
+    encoded = meta.encode()
     assert wire.decode_metadata(encoded) == meta
     assert len(encoded) <= 512
 
