@@ -19,6 +19,7 @@ Layers, bottom to top (import the module you need, e.g.
   through a ledger and a contract.
 - `adversary`: attack probes, the passive trace observer, and the
   `pdid attack` drills built on them.
+- `bench`: the `pdid bench` stage timings and message sizes.
 - `cli`: deployment config and files, and the `pdid` commands.
 """
 

@@ -15,7 +15,6 @@ mismatch rather than a silently wrong key.
 
 from __future__ import annotations
 
-import hmac as _hmac
 from typing import Callable, Optional, Tuple, Union
 
 from . import crypto, oprf
@@ -310,20 +309,23 @@ def transcript_digest(
     )
 
 
-def key_confirm(role: str, session_key: bytes, transcript: bytes) -> bytes:
-    """Confirmation tag bound to the sender's role and the transcript."""
+def _confirm_label(role: str) -> bytes:
     label = _CONFIRM_LABELS.get(role)
     if label is None:
         raise ValueError("role must be 'client' or 'server'")
-    return crypto.prf(session_key, label + transcript)
+    return label
+
+
+def key_confirm(role: str, session_key: bytes, transcript: bytes) -> bytes:
+    """Confirmation tag bound to the sender's role and the transcript."""
+    return crypto.prf(session_key, _confirm_label(role) + transcript)
 
 
 def verify_confirm(
     session_key: bytes, transcript: bytes, tag: bytes, expected_role: str
 ) -> bool:
     """Check the peer's confirmation tag (constant-time comparison)."""
-    expected = key_confirm(expected_role, session_key, transcript)
-    return _hmac.compare_digest(expected, tag)
+    return crypto.prf_verify(session_key, _confirm_label(expected_role) + transcript, tag)
 
 
 # ---------------------------------------------------------------------------

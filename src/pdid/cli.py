@@ -1,7 +1,8 @@
 """Command-line harness: deploy a ledger plus contract, then drive
 registration, login, password update, attack scenarios, and benchmarks
 against it. The protocol flows are `actors.run_register`, `run_login` and
-`run_update`; the attack drills are `adversary.run_attack`.
+`run_update`; the attack drills are `adversary.run_attack`, and the
+benchmark is `bench.run_benchmark`, each imported by its command.
 
 Deployment state lives in files named by a JSON config: the ledger record
 file, the sealed contract state, the sealing key, and the contract public
@@ -17,35 +18,16 @@ import json
 import os
 import sys
 import tempfile
-import time
-from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import List, NoReturn, Optional
 
-from . import __version__, actors, crypto
+from . import __version__, crypto
 from .actors import run_login, run_register, run_update
 from .contract import GpmContract
 from .errors import AuthRejected, PdidError
 from .ledger import Ledger
-from .wire import UpdatePlaintext
 
 PASSWORD_ENV = "PDID_PASSWORD"
 NEW_PASSWORD_ENV = "PDID_NEW_PASSWORD"
-
-# Reference timings (milliseconds) and sizes (bytes) from the original
-# evaluation of this design, reported alongside measurements for comparison.
-REFERENCE_MS = {
-    "client_register": 7.0,
-    "client_auth_total": 10.0,
-    "server_auth_total": 1.63,
-    "gpm_register": 6.54,
-    "gpm_auth": 19.0,
-}
-REFERENCE_SIZES = {
-    "metadata_record": 260,
-    "client_ephemeral_state": 97,
-    "message_band": (74, 300),
-}
-
 
 ATTACK_SCENARIOS = (
     "duplicate-register",
@@ -201,122 +183,6 @@ def load_deployment(config: Config) -> Deployment:
 
 
 # ---------------------------------------------------------------------------
-# Benchmark.
-# ---------------------------------------------------------------------------
-
-
-def _stats(samples: List[float]) -> dict:
-    import statistics
-
-    ms = [s * 1000 for s in samples]
-    return {
-        "mean_ms": statistics.fmean(ms),
-        "median_ms": statistics.median(ms),
-        "stdev_ms": statistics.pstdev(ms) if len(ms) > 1 else 0.0,
-    }
-
-
-LOGIN_STAGES = (
-    "client_auth_init",
-    "server_phase1",
-    "ledger_append",
-    "gpm_auth",
-    "server_phase2",
-    "client_auth_finish",
-)
-
-
-def run_benchmark(iterations: int = 50) -> dict:
-    """Time every protocol stage over fresh users and report sizes.
-
-    Each login is one `run_login`: its observer stamps the end of each of
-    the six `LOGIN_STAGES`, and the bytes it is handed give the message
-    sizes. Measured numbers sit next to the reference timings so
-    regressions and instantiation differences stay visible.
-    """
-    ledger = Ledger()
-    gpm = GpmContract.create(ledger.tx_included)
-    raw: Dict[str, List[float]] = defaultdict(list)
-    server_id = b"bench.example"
-    perf = time.perf_counter
-    stamps: List[float] = []
-    seen: Dict[str, Optional[bytes]] = {}
-
-    def observe(stage: str, data: Optional[bytes]) -> None:
-        stamps.append(perf())
-        seen[stage] = data
-
-    for i in range(iterations):
-        username = f"bench-user-{i:06d}".encode()
-        password = f"bench-pw-{i}".encode()
-
-        t0 = perf()
-        tx = actors.client_register(username, password, gpm.public_key)
-        t1 = perf()
-        proof = ledger.append(tx)
-        t2 = perf()
-        gpm.new_pdid(tx, proof)
-        t3 = perf()
-        raw["client_register"].append(t1 - t0)
-        raw["gpm_register"].append(t3 - t2)
-
-        stamps[:] = [perf()]
-        run_login(gpm, ledger, username, password, server_id, observe=observe)
-        stamps.append(perf())
-        # Seven spans; the last, key confirmation, counts in the round trip only.
-        stage = dict(zip(LOGIN_STAGES, (b - a for a, b in zip(stamps, stamps[1:]))))
-        for name, secs in stage.items():
-            raw[name].append(secs)
-        raw["client_auth_total"].append(stage["client_auth_init"] + stage["client_auth_finish"])
-        raw["server_auth_total"].append(stage["server_phase1"] + stage["server_phase2"])
-        raw["login_roundtrip"].append(stamps[-1] - stamps[0])
-
-    # Byte sizes from the last user's messages, frozen-format widths.
-    state_len = len(actors.client_auth_init(username, password)[0].ephemeral_state_bytes())
-    meta = actors.build_metadata(password)
-    update_pt = UpdatePlaintext(username, password, meta)
-    auth_tx, reply = seen["server->ledger"], seen["gpm->server"]
-    sizes = {
-        "user_auth_init": len(seen["user->server"]),
-        "server_to_user": len(seen["server->user"]),
-        "registration_plaintext": len(tx.payload) - crypto.PKE_OVERHEAD,
-        "update_plaintext": len(update_pt.encode()),
-        "metadata_record": len(meta.encode()),
-        "client_ephemeral_state": state_len,
-        "register_tx_payload": len(tx.payload),
-        "auth_tx_payload": len(auth_tx),
-        "gpm_reply_ciphertext": len(reply),
-        "gpm_auth_request_plaintext": len(auth_tx) - crypto.PKE_OVERHEAD,
-        "gpm_auth_response_plaintext": len(reply) - crypto.PKE_OVERHEAD,
-    }
-
-    timings = {name: _stats(samples) for name, samples in raw.items()}
-    noise_flags = sorted(
-        name for name, st in timings.items() if st["stdev_ms"] > st["mean_ms"]
-    )
-    server_mean_s = timings["server_auth_total"]["mean_ms"] / 1000
-    return {
-        "iterations": iterations,
-        "timings_ms": timings,
-        "noise_flags": noise_flags,
-        "derived": {
-            "server_auths_per_sec": 1.0 / server_mean_s if server_mean_s else None,
-            "server_auth_total_median_ms": timings["server_auth_total"]["median_ms"],
-            "gpm_auth_median_ms": timings["gpm_auth"]["median_ms"],
-            "gpm_register_median_ms": timings["gpm_register"]["median_ms"],
-            "login_roundtrip_median_ms": timings["login_roundtrip"]["median_ms"],
-        },
-        "sizes_bytes": sizes,
-        "reference_ms": REFERENCE_MS,
-        "reference_sizes_bytes": {
-            "metadata_record": REFERENCE_SIZES["metadata_record"],
-            "client_ephemeral_state": REFERENCE_SIZES["client_ephemeral_state"],
-            "plaintext_message_band": list(REFERENCE_SIZES["message_band"]),
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
 # Command plumbing.
 # ---------------------------------------------------------------------------
 
@@ -374,18 +240,20 @@ def cmd_init(args) -> dict:
             "ledger": config.ledger_path,
         }
     ledger = Ledger.create(config.ledger_path, config.n_nodes, config.f)
-    gpm = GpmContract.create(
-        ledger.tx_included,
-        rate_limit=(config.rate_limit_attempts, config.rate_limit_window_secs),
-    )
-    sealing_key = crypto.random_bytes(crypto.KEY_LEN)
-    with open(config.sealing_key_path, "wb") as fh:
-        fh.write(sealing_key)
-    os.chmod(config.sealing_key_path, 0o600)
-    Deployment(config, ledger, gpm, sealing_key).save()
-    with open(config.contract_pk_path, "w") as fh:
-        fh.write(gpm.public_key.hex() + "\n")
-    ledger.close()
+    try:
+        gpm = GpmContract.create(
+            ledger.tx_included,
+            rate_limit=(config.rate_limit_attempts, config.rate_limit_window_secs),
+        )
+        sealing_key = crypto.random_bytes(crypto.KEY_LEN)
+        with open(config.sealing_key_path, "wb") as fh:
+            fh.write(sealing_key)
+        os.chmod(config.sealing_key_path, 0o600)
+        Deployment(config, ledger, gpm, sealing_key).save()
+        with open(config.contract_pk_path, "w") as fh:
+            fh.write(gpm.public_key.hex() + "\n")
+    finally:
+        ledger.close()
     return {
         "status": "initialized",
         "config": config_path,
@@ -418,8 +286,10 @@ def cmd_login(args) -> dict:
         )
     finally:
         # Persist even on failure: the contract already counted the attempt.
-        dep.save()
-        dep.ledger.close()
+        try:
+            dep.save()
+        finally:
+            dep.ledger.close()
     fingerprint = crypto.hash_parts("session-key-fingerprint", [client_key]).hex()[:16]
     return {
         "status": "authenticated",
@@ -452,7 +322,9 @@ def cmd_attack(args) -> dict:
 def cmd_bench(args) -> dict:
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
-    return run_benchmark(args.iterations)
+    from . import bench
+
+    return bench.run_benchmark(args.iterations)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,5 +401,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+def entry() -> NoReturn:
+    """The `pdid` program: `main`, then exit with its code and no interpreter
+    teardown, which would cost a command 14-20 ms of freeing what the
+    process is about to drop. Every file a command writes is closed before
+    `main` returns, and pdid registers no atexit callback, so only the
+    standard streams need flushing. An exception out of `main`, argparse's
+    SystemExit included, takes the normal exit."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

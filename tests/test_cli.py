@@ -195,6 +195,23 @@ def test_load_deployment_closes_the_ledger_when_it_fails(config_path, capsys, mo
     assert len(closed) == 1
 
 
+@pytest.mark.parametrize("command", [["init", "--force"], ["login", "--username", "al"]])
+def test_failed_save_still_closes_the_ledger(config_path, capsys, monkeypatch, command):
+    # `pdid` ends in os._exit, so nothing is closed after main returns.
+    run(["--config", config_path, "init"], capsys)
+    run(["--config", config_path, "register", "--username", "al"], capsys)
+    closed = []
+    close = Ledger.close
+    monkeypatch.setattr(Ledger, "close", lambda self: closed.append(self) or close(self))
+
+    def refuse(self):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.Deployment, "save", refuse)
+    assert cli.main(["--config", config_path] + command) == 2
+    assert len(closed) == 1
+
+
 def test_failed_attempts_persist_across_processes(tmp_path, capsys, monkeypatch):
     # Each CLI call reloads sealed state; rate-limit counters must survive.
     config = str(tmp_path / "deploy.json")
@@ -394,8 +411,35 @@ def test_import_loads_no_module_a_command_does_not_run():
         "statistics",
         "getpass",
         "pdid.adversary",
+        "pdid.bench",
         "cryptography.hazmat.primitives.serialization",
+        # The stdlib's own OpenSSL binding and what loads it: crypto hashes
+        # through `cryptography` and reads os.urandom.
+        "hashlib",
+        "_hashlib",
+        "hmac",
+        "secrets",
     })
+
+
+def test_commands_load_no_stdlib_openssl(tmp_path):
+    # A whole deployment's life in one fresh interpreter, then its modules.
+    code = (
+        "import sys\n"
+        "from pdid import cli\n"
+        f"config = {str(tmp_path / 'deploy.json')!r}\n"
+        "for command in (['init'], ['register', '--username', 'al'],\n"
+        "                ['login', '--username', 'al'], ['update', '--username', 'al']):\n"
+        "    assert cli.main(['--config', config] + command) == 0, command\n"
+        "print(sorted({'hashlib', '_hashlib', 'hmac', 'secrets'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pdid.__file__)),
+               PDID_PASSWORD="pw", PDID_NEW_PASSWORD="pw2")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_benchmark_entry_points_stay_bound():
@@ -410,6 +454,102 @@ def test_benchmark_entry_points_stay_bound():
     assert cli.run_login is actors.run_login
     assert callable(cli.load_config) and callable(cli.load_deployment)
     assert callable(cli.Deployment.__dict__["save"])
+
+
+# ---------------------------------------------------------------------------
+# The `pdid` process: `python -m pdid.cli` ends through os._exit.
+# ---------------------------------------------------------------------------
+
+
+def pdid_process(*args, password="pw", new_password=None):
+    # Piped stdout block-buffered, as in a deployment, so a lost flush shows.
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("PDID_") and k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pdid.__file__))
+    env[cli.PASSWORD_ENV] = password
+    if new_password is not None:
+        env[cli.NEW_PASSWORD_ENV] = new_password
+    return subprocess.run(
+        [sys.executable, "-m", "pdid.cli", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def reply(proc, code):
+    """The one complete JSON object a command piped to stdout."""
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.endswith("}\n")
+    out = json.loads(proc.stdout)
+    assert isinstance(out, dict)
+    return out
+
+
+def assert_reopens_through_index(config, users, records):
+    # The sealed state unseals; a fresh index covers every record, so the
+    # reopen parses only the last one.
+    dep = cli.load_deployment(cli.load_config(config))
+    try:
+        assert dep.gpm.user_count() == users
+        assert len(dep.ledger) == records
+        if records:
+            assert os.path.exists(dep.config.ledger_path + ".idx")
+            assert dep.ledger._base == records - 1
+            assert len(dep.ledger._payloads) == 1
+    finally:
+        dep.ledger.close()
+
+
+def test_pdid_process_output_and_files_are_complete_at_exit(tmp_path):
+    config = str(tmp_path / "deploy.json")
+    base = ["--config", config, "--json"]
+
+    out = reply(pdid_process(*base, "init"), 0)
+    assert out["status"] == "initialized"
+    assert_reopens_through_index(config, users=0, records=0)
+    assert Path(config).read_text() == DEFAULT_CONFIG
+    assert len((tmp_path / "sealing.key").read_bytes()) == 32
+    assert (tmp_path / "contract_pk.hex").read_text() == out["contract_public_key"] + "\n"
+
+    out = reply(pdid_process(*base, "register", "--username", "al"), 0)
+    assert out == {"status": "registered", "username": "al"}
+    assert_reopens_through_index(config, users=1, records=1)
+
+    out = reply(pdid_process(*base, "login", "--username", "al"), 0)
+    assert out["status"] == "authenticated" and out["keys_match"] is True
+    assert_reopens_through_index(config, users=1, records=2)
+
+    out = reply(pdid_process(*base, "login", "--username", "al", password="wrong"), 1)
+    assert out == {"status": "failed", "error": "authentication-failed"}
+    assert_reopens_through_index(config, users=1, records=3)
+
+    out = reply(pdid_process(*base, "update", "--username", "al", new_password="pw2"), 0)
+    assert out == {"status": "password-updated", "username": "al"}
+    assert_reopens_through_index(config, users=1, records=4)
+
+    out = reply(pdid_process(*base, "login", "--username", "al", password="pw2"), 0)
+    assert out["keys_match"] is True
+    assert_reopens_through_index(config, users=1, records=5)
+    assert sorted(os.listdir(tmp_path)) == [
+        "contract_pk.hex", "deploy.json", "gpm.sealed", "ledger.log", "ledger.log.idx",
+        "sealing.key",
+    ]
+
+
+def test_pdid_process_usage_errors_exit_2(tmp_path):
+    # Through main's return value, then through argparse's SystemExit.
+    proc = pdid_process("--config", str(tmp_path / "none.json"), "login", "--username", "x")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: config not found")
+    proc = pdid_process("login")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "usage: pdid" in proc.stderr
+
+
+def test_pdid_process_version_and_help_exit_0():
+    proc = pdid_process("--version")
+    assert proc.returncode == 0 and proc.stdout == f"pdid {pdid.__version__}\n"
+    proc = pdid_process("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: pdid")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ agree with it on random inputs.
 """
 
 import hashlib
+import hmac
+import random
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -448,6 +450,37 @@ def test_prf_determinism_and_key_separation():
 def test_prf_rejects_wrong_key_length():
     with pytest.raises(CryptoError):
         crypto.prf(b"short", b"msg")
+    with pytest.raises(CryptoError):
+        crypto.prf_verify(b"short", b"msg", b"\x00" * 32)
+
+
+def test_hashing_and_prf_match_the_stdlib_oracle():
+    # crypto hashes through `cryptography`; the stdlib is the oracle here.
+    rng = random.Random(81)
+    for _ in range(300):
+        label = rng.randbytes(rng.randrange(40))
+        parts = [rng.randbytes(rng.randrange(300)) for _ in range(rng.randrange(5))]
+        framed = crypto._frame(label, parts)
+        assert crypto.hash_parts(label, parts) == hashlib.sha256(framed).digest()
+        us = [
+            int.from_bytes(
+                hashlib.sha512(b"hash-to-group" + bytes([i]) + framed).digest()[:48], "big"
+            ) % P256_P
+            for i in (1, 2)
+        ]
+        point = crypto.hash_to_group(label, parts)
+        assert (point.x, point.y) == crypto._add(*crypto._sswu(us[0]), *crypto._sswu(us[1]))
+
+        key, msg = rng.randbytes(32), rng.randbytes(rng.randrange(400))
+        tag = crypto.prf(key, msg)
+        assert tag == hmac.new(key, msg, hashlib.sha256).digest()
+        assert crypto.prf_verify(key, msg, tag)
+        bit = rng.randrange(8 * len(tag))
+        flipped = bytearray(tag)
+        flipped[bit // 8] ^= 1 << bit % 8
+        assert not crypto.prf_verify(key, msg, bytes(flipped))
+        assert not crypto.prf_verify(key, msg, tag[: rng.randrange(len(tag))])
+        assert not crypto.prf_verify(key, msg, tag + rng.randbytes(rng.randrange(1, 33)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +615,13 @@ def test_seeded_randomness_reproducible():
     crypto.use_system_randomness()
     crypto.set_insecure_seed(43)
     assert [crypto.random_bytes(16) for _ in range(4)] != a
+
+
+def test_seeded_stream_matches_the_stdlib_oracle():
+    crypto.set_insecure_seed(7)
+    state = hashlib.sha256(b"insecure-seed" + (7).to_bytes(8, "big")).digest()
+    blocks = [hashlib.sha256(state + i.to_bytes(8, "big")).digest() for i in range(3)]
+    assert crypto.random_bytes(40) + crypto.random_bytes(56) == b"".join(blocks)
 
 
 def test_digest_width_is_sha256():
