@@ -159,8 +159,8 @@ def client_auth_finish(
         envelope_pt = crypto.aead_decrypt(envelope_key, msg.envelope)
     except AuthFailure:
         raise WrongPassword("envelope did not open under this password") from None
-    static_priv, static_pub, server_static_pub = decode_envelope_plaintext(envelope_pt)
-    del envelope_key, envelope_pt, static_pub
+    static_priv, _, server_static_pub = decode_envelope_plaintext(envelope_pt)
+    del envelope_key, envelope_pt
 
     e_client = crypto.hash_parts(
         "hmqv-eu", [msg.server_eph_pub.encode(), session.username]
@@ -168,7 +168,9 @@ def client_auth_finish(
     e_server = crypto.hash_parts("hmqv-es", [session.eph_pub.encode(), server_id])
     combined_base = crypto.mul(
         msg.server_eph_pub,
-        crypto.exp(server_static_pub, crypto.scalar_from_digest(e_server)),
+        crypto.exp(
+            crypto.decode_element(server_static_pub), crypto.scalar_from_digest(e_server)
+        ),
     )
     exponent = crypto.scalar_add(
         session.eph_priv,

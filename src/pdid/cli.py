@@ -9,6 +9,11 @@ file, the sealed contract state, the sealing key, and the contract public
 key exported as hex. Passwords are read from environment variables
 (PDID_PASSWORD, PDID_NEW_PASSWORD) or an interactive prompt, never from
 argv. Exit codes: 0 success, 1 protocol failure, 2 usage error.
+
+`register`, `login` and `update` each seal the contract state once their
+flow has run, whether or not it failed: the contract charges a wrong
+password to the username's rate window, and a charge left unsealed would be
+forgotten by the next command.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import List, NoReturn, Optional
+from typing import Callable, List, NoReturn, Optional, TypeVar
 
 from . import __version__, crypto
 from .actors import run_login, run_register, run_update
@@ -28,6 +33,7 @@ from .ledger import Ledger
 
 PASSWORD_ENV = "PDID_PASSWORD"
 NEW_PASSWORD_ENV = "PDID_NEW_PASSWORD"
+_Result = TypeVar("_Result")
 
 ATTACK_SCENARIOS = (
     "duplicate-register",
@@ -264,32 +270,38 @@ def cmd_init(args) -> dict:
     }
 
 
+def _run_sealed(config: Config, flow: Callable[[GpmContract, Ledger], _Result]) -> _Result:
+    """Open the deployment, run `flow` on its contract and ledger, then seal
+    the contract state whether or not the flow failed, since a refused
+    guess has already been charged; the ledger is closed in every case."""
+    dep = load_deployment(config)
+    try:
+        return flow(dep.gpm, dep.ledger)
+    finally:
+        try:
+            dep.save()
+        finally:
+            dep.ledger.close()
+
+
 def cmd_register(args) -> dict:
     config = load_config(args.config)
     password = _get_password(PASSWORD_ENV, "password: ")
-    dep = load_deployment(config)
-    try:
-        run_register(dep.gpm, dep.ledger, args.username.encode(), password)
-        dep.save()
-    finally:
-        dep.ledger.close()
+    _run_sealed(
+        config, lambda gpm, ledger: run_register(gpm, ledger, args.username.encode(), password)
+    )
     return {"status": "registered", "username": args.username}
 
 
 def cmd_login(args) -> dict:
     config = load_config(args.config)
     password = _get_password(PASSWORD_ENV, "password: ")
-    dep = load_deployment(config)
-    try:
-        client_key, server_key = run_login(
-            dep.gpm, dep.ledger, args.username.encode(), password, args.server.encode()
-        )
-    finally:
-        # Persist even on failure: the contract already counted the attempt.
-        try:
-            dep.save()
-        finally:
-            dep.ledger.close()
+    client_key, server_key = _run_sealed(
+        config,
+        lambda gpm, ledger: run_login(
+            gpm, ledger, args.username.encode(), password, args.server.encode()
+        ),
+    )
     fingerprint = crypto.hash_parts("session-key-fingerprint", [client_key]).hex()[:16]
     return {
         "status": "authenticated",
@@ -304,12 +316,12 @@ def cmd_update(args) -> dict:
     config = load_config(args.config)
     old_password = _get_password(PASSWORD_ENV, "current password: ")
     new_password = _get_password(NEW_PASSWORD_ENV, "new password: ")
-    dep = load_deployment(config)
-    try:
-        run_update(dep.gpm, dep.ledger, args.username.encode(), old_password, new_password)
-        dep.save()
-    finally:
-        dep.ledger.close()
+    _run_sealed(
+        config,
+        lambda gpm, ledger: run_update(
+            gpm, ledger, args.username.encode(), old_password, new_password
+        ),
+    )
     return {"status": "password-updated", "username": args.username}
 
 

@@ -6,6 +6,16 @@ transaction whose payload is encrypted to that key, plus a ledger inclusion
 proof. Nothing is processed unless the proof verifies, so every password
 guess an attacker wants evaluated must first be placed on the public ledger.
 
+The two rate-limited methods, `auth_pdid` and `update_pdid`, decide their
+refusals in this order: ledger inclusion, transaction kind, box decryption,
+the request's tag and username, unknown user, full rate window. None of
+these decodes a group element, so a guess over the cap costs no point
+decompression. Only then is the whole request decoded, then the stored
+record; a malformed request or a corrupt record is refused there, before
+any charge. So a request malformed past its username, or one against a
+corrupt record, is refused with RateLimited when the username's window is
+full, and with UnknownUser when no record is stored for the username.
+
 Methods are deterministic: given identical (state, transaction, proof) they
 produce identical outputs and state. The auth reply ciphertext is
 derandomized by deriving its encryption entropy from the contract secret and
@@ -53,6 +63,7 @@ from .wire import (
     decode_envelope_plaintext,
     decode_expected,
     decode_metadata,
+    leading_username,
     pack_field,
 )
 
@@ -124,15 +135,33 @@ class GpmContract:
             raise MalformedRecord("transaction kind does not match method")
         return crypto.pk_decrypt(self._box_key, tx.payload)
 
-    def _metadata(self, username: bytes, decode: Callable[[bytes], _Decoded]) -> _Decoded:
-        """Decode, with `decode`, the one stored record a method uses.
-        Unseal checked only its tag and length, so a bad field is refused
-        here, before the method changes any state."""
-        record = self._users.get(username)
-        if record is None:
+    def _admit(
+        self, tx: Transaction, proof: InclusionProof, kind: TxKind, cls: type
+    ) -> Tuple[bytes, float]:
+        """The refusals of a rate-limited method, decided before any group
+        element is decoded: the gate, the request's tag and username, an
+        unknown user, a full rate window. Returns the plaintext and the time
+        a charge is made at."""
+        plaintext = self._gate(tx, proof, kind)
+        username = leading_username(plaintext, cls)
+        if username not in self._users:
             raise UnknownUser("no metadata for this username")
+        now = self._clock()
+        self._check_rate(username, now)
+        return plaintext, now
+
+    def _metadata(self, username: bytes, decode: Callable[[bytes], _Decoded]) -> _Decoded:
+        """Decode, with `decode`, the stored record of a user `_admit` let
+        through.
+
+        Where each decode happens: unseal checked only each record's tag and
+        length; `_admit` reads only the request's tag and username; the
+        method then decodes the whole request (`decode_expected`), then its
+        stored record here, and only after both does it charge or do group
+        work. So a bad field, of the request or of the record, is refused
+        before the method changes any state."""
         try:
-            return decode(record)
+            return decode(self._users[username])
         except CryptoError as exc:
             raise MalformedRecord("stored metadata record is corrupt") from exc
 
@@ -176,13 +205,11 @@ class GpmContract:
         cannot tell whether the password behind the blinded element is right,
         so every admitted attempt counts against the username's rate window.
         """
-        plaintext = self._gate(tx, proof, TxKind.AUTH)
+        plaintext, now = self._admit(tx, proof, TxKind.AUTH, GpmAuthRequest)
         msg = decode_expected(plaintext, GpmAuthRequest)
         oprf_key, server_static_priv, client_static_pub, envelope = self._metadata(
             msg.username, decode_auth_metadata
         )
-        now = self._clock()
-        self._check_rate(msg.username, now)
         self._charge(msg.username, now)
 
         evaluated = oprf.evaluate(msg.blinded_element, oprf_key)
@@ -207,25 +234,23 @@ class GpmContract:
         """Replace metadata after verifying the old password.
 
         Verification: the OPRF output for the presented password must open
-        the stored envelope, the envelope's static public keys must match the
-        stored ones, and the recovered static secret must match its public
-        key. Any failure is WrongPassword and counts as a guess; stored
-        metadata is untouched.
+        the stored envelope, the envelope's static public keys must equal the
+        stored ones byte for byte, and the recovered static secret must match
+        the stored client key. Any failure is WrongPassword and counts as a
+        guess; stored metadata is untouched.
         """
-        plaintext = self._gate(tx, proof, TxKind.UPDATE)
+        plaintext, now = self._admit(tx, proof, TxKind.UPDATE, UpdatePlaintext)
         msg = decode_expected(plaintext, UpdatePlaintext)
         meta = self._metadata(msg.username, decode_metadata)
-        now = self._clock()
-        self._check_rate(msg.username, now)
 
         envelope_key = oprf.oprf_eval(meta.oprf_key, msg.password)
         try:
             envelope_pt = crypto.aead_decrypt(envelope_key, meta.envelope)
             static_priv, static_pub, server_pub = decode_envelope_plaintext(envelope_pt)
             verified = (
-                static_pub == meta.client_static_pub
-                and server_pub == meta.server_static_pub
-                and crypto.base_exp(static_priv) == static_pub
+                static_pub == meta.client_static_pub.encode()
+                and server_pub == meta.server_static_pub.encode()
+                and crypto.base_exp(static_priv) == meta.client_static_pub
             )
         except AuthFailure:
             verified = False

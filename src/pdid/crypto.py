@@ -82,7 +82,6 @@ KEY_LEN = 32             # symmetric key
 BOX_PUBLIC_LEN = 32      # X25519 public key
 BOX_SECRET_LEN = 32      # X25519 secret key
 SIG_PUBLIC_LEN = 32      # Ed25519 public key
-SIG_SECRET_LEN = 32      # Ed25519 secret seed
 SIG_LEN = 64             # Ed25519 detached signature
 AEAD_NONCE_LEN = 12
 AEAD_TAG_LEN = 16
@@ -570,13 +569,6 @@ def pk_decrypt(secret: Union[bytes, X25519PrivateKey], ciphertext: bytes) -> byt
 # ---------------------------------------------------------------------------
 # Detached signatures (Ed25519) for ledger node attestations.
 # ---------------------------------------------------------------------------
-
-
-def sig_gen() -> KeyPair:
-    """Fresh signing keypair (secret is the 32-byte seed)."""
-    secret = random_bytes(SIG_SECRET_LEN)
-    public = Ed25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
-    return KeyPair(secret, public)
 
 
 def sig_public(secret: Union[bytes, Ed25519PrivateKey]) -> bytes:

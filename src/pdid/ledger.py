@@ -413,9 +413,6 @@ class Ledger:
         kind, payload = self._record(seq)
         return Transaction(_KINDS[kind], payload)
 
-    def node_public_keys(self) -> list[bytes]:
-        return [node.public for node in self.nodes]
-
     def leak_node_seeds(self, count: int) -> list[bytes]:
         """Hand out signing seeds for `count` nodes (adversary simulations)."""
         if count > self.f:

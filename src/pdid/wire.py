@@ -225,13 +225,15 @@ def encode_envelope_plaintext(
     )
 
 
-def decode_envelope_plaintext(data: bytes):
+def decode_envelope_plaintext(data: bytes) -> tuple[Scalar, bytes, bytes]:
+    """Static secret, then the client's and the server's static public keys
+    as their 33-byte encodings: a caller decodes only the key it uses."""
     if len(data) != ENVELOPE_PT_LEN:
         raise MalformedRecord("envelope plaintext must be 98 bytes")
     return (
         decode_scalar(data[:SCALAR_LEN]),
-        decode_element(data[SCALAR_LEN : SCALAR_LEN + ELEMENT_LEN]),
-        decode_element(data[SCALAR_LEN + ELEMENT_LEN :]),
+        data[SCALAR_LEN : SCALAR_LEN + ELEMENT_LEN],
+        data[SCALAR_LEN + ELEMENT_LEN :],
     )
 
 
@@ -337,6 +339,18 @@ def decode_expected(data: bytes, cls: type) -> Message:
     if not isinstance(msg, cls):
         raise MalformedRecord(f"expected {cls.__name__}")
     return msg
+
+
+def leading_username(data: bytes, cls: type[Message]) -> bytes:
+    """The first field of an encoded `cls` message whose first field is a
+    USERNAME, checked as that kind checks it. Reads the tag and that field
+    only; `decode_expected` still checks the whole message."""
+    r = Reader(data)
+    if r.u8() != cls._tag:
+        raise MalformedRecord(f"expected {cls.__name__}")
+    username = r.field()
+    _check_username(username, "username")
+    return username
 
 
 # Sanity: the metadata record width is a frozen constant other layers quote.

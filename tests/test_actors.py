@@ -46,9 +46,9 @@ def test_build_metadata_is_self_consistent():
     envelope_key = oprf.oprf_eval(meta.oprf_key, b"a password")
     plaintext = crypto.aead_decrypt(envelope_key, meta.envelope)
     static_priv, static_pub, server_pub = decode_envelope_plaintext(plaintext)
-    assert crypto.base_exp(static_priv) == static_pub
-    assert static_pub == meta.client_static_pub
-    assert server_pub == meta.server_static_pub
+    assert crypto.base_exp(static_priv) == meta.client_static_pub
+    assert static_pub == meta.client_static_pub.encode()
+    assert server_pub == meta.server_static_pub.encode()
 
 
 def test_build_metadata_fresh_per_call():

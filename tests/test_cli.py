@@ -195,9 +195,13 @@ def test_load_deployment_closes_the_ledger_when_it_fails(config_path, capsys, mo
     assert len(closed) == 1
 
 
-@pytest.mark.parametrize("command", [["init", "--force"], ["login", "--username", "al"]])
+@pytest.mark.parametrize("command", [
+    ["init", "--force"], ["login", "--username", "al"], ["register", "--username", "bo"],
+    ["update", "--username", "al"],
+])
 def test_failed_save_still_closes_the_ledger(config_path, capsys, monkeypatch, command):
     # `pdid` ends in os._exit, so nothing is closed after main returns.
+    monkeypatch.setenv(cli.NEW_PASSWORD_ENV, "new password")
     run(["--config", config_path, "init"], capsys)
     run(["--config", config_path, "register", "--username", "al"], capsys)
     closed = []
@@ -533,6 +537,28 @@ def test_pdid_process_output_and_files_are_complete_at_exit(tmp_path):
         "contract_pk.hex", "deploy.json", "gpm.sealed", "ledger.log", "ledger.log.idx",
         "sealing.key",
     ]
+
+
+def test_pdid_process_seals_the_charge_of_a_failed_update(tmp_path):
+    # A wrong old password is charged like a wrong login; each `pdid update`
+    # must seal that charge, or updates would be an unlimited guessing oracle.
+    config = tmp_path / "deploy.json"
+    cap = 3
+    config.write_text(json.dumps({"rate_limit_attempts": cap, "rate_limit_window_secs": 3600.0}))
+    base = ["--config", str(config), "--json"]
+    reply(pdid_process(*base, "init"), 0)
+    reply(pdid_process(*base, "register", "--username", "al"), 0)
+    errors = [
+        reply(pdid_process(*base, "update", "--username", "al", password="wrong",
+                           new_password="new"), 1)["error"]
+        for _ in range(cap + 1)
+    ]
+    assert errors == ["authentication-failed"] * cap + ["rate-limited"]
+    dep = cli.load_deployment(cli.load_config(str(config)))
+    try:
+        assert len(dep.gpm._attempts[b"al"]) == cap
+    finally:
+        dep.ledger.close()
 
 
 def test_pdid_process_usage_errors_exit_2(tmp_path):

@@ -4,11 +4,12 @@ import tracemalloc
 
 import pytest
 
-from pdid import actors, crypto, oprf
+from pdid import actors, crypto, oprf, wire
 from pdid.contract import GpmContract
 from pdid.errors import (
     AuthFailure,
     AuthRejected,
+    InvalidElement,
     MalformedRecord,
     NotOnLedger,
     RateLimited,
@@ -17,7 +18,13 @@ from pdid.errors import (
     WrongPassword,
 )
 from pdid.ledger import InclusionProof, Ledger, Transaction
-from pdid.wire import GpmAuthResponse, TxKind, decode_expected, decode_metadata
+from pdid.wire import (
+    GpmAuthRequest,
+    GpmAuthResponse,
+    TxKind,
+    decode_expected,
+    decode_metadata,
+)
 
 
 def fresh(clock=None, rate_limit=(10, 60.0)):
@@ -219,6 +226,157 @@ def test_rate_windows_hold_only_charged_unexpired_attempts(manual_clock):
         gpm.seal(key), key, tx_verifier=ledger.tx_included, clock=manual_clock
     )
     assert restored._attempts == {}  # bob's expired window is not sealed
+
+
+# ---------------------------------------------------------------------------
+# Refusal order: a refused guess decodes no group element.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Calls to the element decoder the wire kinds and the metadata decoders
+    look up by name."""
+    calls = []
+    original = wire.decode_element
+    monkeypatch.setattr(wire, "decode_element", lambda data: calls.append(data) or original(data))
+    return calls
+
+
+def auth_tx(gpm, username, password=b"pw", mutate=None):
+    """An AUTH transaction, its request body passed through `mutate` before
+    it is encrypted to the contract."""
+    _, init = actors.client_auth_init(username, password)
+    if mutate is None:
+        return actors.server_auth_phase1(b"srv", init, gpm.public_key)[1]
+    request = GpmAuthRequest(
+        username=init.username,
+        blinded_element=init.blinded_element,
+        client_eph_pub=init.client_eph_pub,
+        server_eph_priv=crypto.random_scalar(),
+        e_client=bytes(crypto.DIGEST_LEN),
+        e_server=bytes(crypto.DIGEST_LEN),
+        reply_pk=crypto.pk_gen().public,
+    ).encode()
+    return Transaction(TxKind.AUTH, crypto.pk_encrypt(gpm.public_key, mutate(request)))
+
+
+def bad_blinded_element(request: bytes) -> bytes:
+    # Tag, username field, then the blinded element's length and its
+    # compression prefix, which only 2 and 3 may fill.
+    at = 1 + 2 + int.from_bytes(request[1:3], "big") + 2
+    return request[:at] + b"\x05" + request[at + 1 :]
+
+
+def limited(manual_clock, cap=2):
+    """A deployment in which the username alice has used up its rate window."""
+    ledger, gpm = fresh(clock=manual_clock, rate_limit=(cap, 60.0))
+    register(gpm, ledger, b"alice", b"pw")
+    for _ in range(cap):
+        manual_clock.advance(1.0)
+        auth_once(gpm, ledger, b"alice", b"pw")
+    manual_clock.advance(1.0)
+    return ledger, gpm
+
+
+def test_rate_limited_auth_decodes_no_element(manual_clock, decodes):
+    ledger, gpm = limited(manual_clock)
+    tx = auth_tx(gpm, b"alice")
+    proof = ledger.append(tx)
+    del decodes[:]
+    with pytest.raises(RateLimited):
+        gpm.auth_pdid(tx, proof)
+    assert decodes == []
+
+
+def test_rate_limited_update_decodes_no_element(manual_clock, decodes):
+    ledger, gpm = limited(manual_clock)
+    tx = actors.client_update(b"alice", b"pw", b"new", gpm.public_key)
+    proof = ledger.append(tx)
+    del decodes[:]
+    with pytest.raises(RateLimited):
+        gpm.update_pdid(tx, proof)
+    assert decodes == []
+
+
+MALFORMED = pytest.mark.parametrize(
+    "mutate, error",
+    [(lambda r: r + b"\x00", MalformedRecord), (bad_blinded_element, InvalidElement)],
+    ids=["trailing-byte", "bad-element"],
+)
+
+
+@MALFORMED
+def test_malformed_auth_under_the_cap_is_refused_uncharged(manual_clock, mutate, error):
+    ledger, gpm = fresh(clock=manual_clock, rate_limit=(2, 60.0))
+    register(gpm, ledger, b"alice", b"pw")
+    auth_once(gpm, ledger, b"alice", b"pw")
+    window = list(gpm._attempts[b"alice"])
+    manual_clock.advance(1.0)
+    tx = auth_tx(gpm, b"alice", mutate=mutate)
+    with pytest.raises(error):
+        gpm.auth_pdid(tx, ledger.append(tx))
+    assert gpm._attempts[b"alice"] == window
+
+
+@MALFORMED
+def test_malformed_auth_from_a_rate_limited_user_is_rate_limited(manual_clock, mutate, error):
+    ledger, gpm = limited(manual_clock)
+    window = list(gpm._attempts[b"alice"])
+    tx = auth_tx(gpm, b"alice", mutate=mutate)
+    with pytest.raises(RateLimited):
+        gpm.auth_pdid(tx, ledger.append(tx))
+    assert gpm._attempts[b"alice"] == window
+
+
+def test_auth_with_a_bad_username_field_is_malformed(manual_clock):
+    ledger, gpm = limited(manual_clock)
+    for mutate in (
+        lambda r: bytes([wire.MSG_UPDATE]) + r[1:],  # tag of another message
+        lambda r: r[:3] + b"\xff" + r[4:],  # username no longer UTF-8
+        lambda r: r[:1] + bytes(2) + r[3:],  # empty username
+    ):
+        tx = auth_tx(gpm, b"alice", mutate=mutate)
+        with pytest.raises(MalformedRecord):
+            gpm.auth_pdid(tx, ledger.append(tx))
+
+
+def test_unknown_user_is_refused_uncharged_and_undecoded(manual_clock, decodes):
+    ledger, gpm = fresh(clock=manual_clock)
+    register(gpm, ledger, b"alice", b"pw")
+    tx = auth_tx(gpm, b"mallory")
+    proof = ledger.append(tx)
+    del decodes[:]
+    with pytest.raises(UnknownUser):
+        gpm.auth_pdid(tx, proof)
+    assert decodes == [] and gpm._attempts == {}
+
+
+def test_admitted_flows_decode_only_the_elements_they_use(decodes, monkeypatch):
+    ledger, gpm = fresh()
+    register(gpm, ledger, b"alice", b"pw")
+    finish = actors.client_auth_finish
+    counts = {}
+
+    def counted_finish(*args):
+        start = len(decodes)
+        try:
+            return finish(*args)
+        finally:
+            counts["client_auth_finish"] = len(decodes) - start
+
+    monkeypatch.setattr(actors, "client_auth_finish", counted_finish)
+    monkeypatch.setattr(crypto, "decode_element", wire.decode_element)
+    del decodes[:]
+    actors.run_login(gpm, ledger, b"alice", b"pw", b"srv")
+    # Request: blinded element and client ephemeral key; stored record:
+    # client static key; contract reply: evaluated element; envelope:
+    # server static key.
+    assert len(decodes) == 5 and counts["client_auth_finish"] == 1
+    del decodes[:]
+    actors.run_update(gpm, ledger, b"alice", b"pw", b"new")
+    # The new record's two public keys and the stored record's two.
+    assert len(decodes) == 4
 
 
 # ---------------------------------------------------------------------------

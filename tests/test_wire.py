@@ -166,7 +166,7 @@ def test_envelope_plaintext_round_trip():
     pub_c, pub_s = random_element(), random_element()
     body = wire.encode_envelope_plaintext(priv, pub_c, pub_s)
     assert len(body) == wire.ENVELOPE_PT_LEN == 98
-    assert wire.decode_envelope_plaintext(body) == (priv, pub_c, pub_s)
+    assert wire.decode_envelope_plaintext(body) == (priv, pub_c.encode(), pub_s.encode())
     with pytest.raises(MalformedRecord):
         wire.decode_envelope_plaintext(body[:-1])
 
