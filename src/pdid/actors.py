@@ -194,13 +194,13 @@ def client_auth_finish(
 class ServerSession:
     """Server state between its two phases.
 
-    Holds only blinded or public values plus the one-shot reply keypair;
+    Holds only blinded or public values plus the one-shot reply key;
     nothing here depends on the user's password.
     """
 
     __slots__ = (
         "server_id", "username", "blinded_element", "client_eph_pub", "eph_priv",
-        "eph_pub", "e_client", "e_server", "reply_keypair", "session_key",
+        "eph_pub", "e_client", "e_server", "reply_key", "session_key",
     )
 
     def __init__(
@@ -213,7 +213,7 @@ class ServerSession:
         eph_pub: crypto.GroupElement,
         e_client: bytes,
         e_server: bytes,
-        reply_keypair: Optional[crypto.KeyPair],
+        reply_key: Optional[crypto.X25519PrivateKey],
         session_key: Optional[bytes] = None,
     ) -> None:
         self.server_id = server_id
@@ -224,7 +224,7 @@ class ServerSession:
         self.eph_pub = eph_pub
         self.e_client = e_client
         self.e_server = e_server
-        self.reply_keypair = reply_keypair
+        self.reply_key = reply_key
         self.session_key = session_key
 
 
@@ -241,7 +241,7 @@ def server_auth_phase1(
     eph_pub = crypto.base_exp(eph_priv)
     e_client = crypto.hash_parts("hmqv-eu", [eph_pub.encode(), msg.username])
     e_server = crypto.hash_parts("hmqv-es", [msg.client_eph_pub.encode(), server_id])
-    reply_keypair = crypto.pk_gen()
+    reply_key = crypto.box_private_key(crypto.random_bytes(crypto.BOX_SECRET_LEN))
     request = GpmAuthRequest(
         username=msg.username,
         blinded_element=msg.blinded_element,
@@ -249,7 +249,7 @@ def server_auth_phase1(
         server_eph_priv=eph_priv,
         e_client=e_client,
         e_server=e_server,
-        reply_pk=reply_keypair.public,
+        reply_pk=reply_key.public_key().public_bytes_raw(),
     )
     tx = Transaction(TxKind.AUTH, crypto.pk_encrypt(gpm_public, request.encode()))
     session = ServerSession(
@@ -261,7 +261,7 @@ def server_auth_phase1(
         eph_pub=eph_pub,
         e_client=e_client,
         e_server=e_server,
-        reply_keypair=reply_keypair,
+        reply_key=reply_key,
     )
     return session, tx
 
@@ -274,10 +274,10 @@ def server_auth_phase2(
     One-shot: the reply secret key is dropped on first use, so a session can
     never process a second reply.
     """
-    if session.reply_keypair is None:
+    if session.reply_key is None:
         raise StaleSession("reply key already consumed")
-    plaintext = crypto.pk_decrypt(session.reply_keypair.secret, reply_ciphertext)
-    session.reply_keypair = None
+    plaintext = crypto.pk_decrypt(session.reply_key, reply_ciphertext)
+    session.reply_key = None
     reply = decode_expected(plaintext, GpmAuthResponse)
     session.session_key = reply.session_key
     out = ServerToUser(

@@ -100,7 +100,7 @@ def capture_server_view(
     key) between the phases, which no other caller needs."""
     client, init = actors.client_auth_init(username, password)
     server, tx = actors.server_auth_phase1(server_id, init, gpm.public_key)
-    reply_secret = server.reply_keypair.secret
+    reply_secret = server.reply_key.private_bytes_raw()
     proof = ledger.append(tx)
     reply_ct = gpm.auth_pdid(tx, proof)
     session_key, to_user = actors.server_auth_phase2(server, reply_ct)

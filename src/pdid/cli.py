@@ -10,10 +10,10 @@ key exported as hex. Passwords are read from environment variables
 (PDID_PASSWORD, PDID_NEW_PASSWORD) or an interactive prompt, never from
 argv. Exit codes: 0 success, 1 protocol failure, 2 usage error.
 
-`register`, `login` and `update` each seal the contract state once their
-flow has run, whether or not it failed: the contract charges a wrong
-password to the username's rate window, and a charge left unsealed would be
-forgotten by the next command.
+`register`, `login` and `update` run their flow in `with load_deployment`,
+which seals the contract state whether or not the flow failed, then closes
+the ledger: a wrong password is charged to the username's rate window, and
+a charge left unsealed would be forgotten by the next command.
 """
 
 from __future__ import annotations
@@ -22,18 +22,16 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-from typing import Callable, List, NoReturn, Optional, TypeVar
+from typing import List, NoReturn, Optional
 
 from . import __version__, crypto
 from .actors import run_login, run_register, run_update
 from .contract import GpmContract
 from .errors import AuthRejected, PdidError
-from .ledger import Ledger
+from .ledger import Ledger, replace_file
 
 PASSWORD_ENV = "PDID_PASSWORD"
 NEW_PASSWORD_ENV = "PDID_NEW_PASSWORD"
-_Result = TypeVar("_Result")
 
 ATTACK_SCENARIOS = (
     "duplicate-register",
@@ -130,7 +128,8 @@ class Config:
 
 class Deployment:
     """An opened deployment: its config, ledger, unsealed contract and
-    sealing key."""
+    sealing key. As a context manager it seals the contract state on exit,
+    whether or not the block failed, then closes the ledger in every case."""
 
     __slots__ = ("config", "ledger", "gpm", "sealing_key")
 
@@ -143,17 +142,16 @@ class Deployment:
         self.sealing_key = sealing_key
 
     def save(self) -> None:
-        # A temp file of its own, so concurrent commands never rename away each other's.
-        sealed = self.gpm.seal(self.sealing_key)
-        path = self.config.sealed_state_path
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=os.path.basename(path) + ".")
+        replace_file(self.config.sealed_state_path, [self.gpm.seal(self.sealing_key)])
+
+    def __enter__(self) -> "Deployment":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(sealed)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            self.save()
+        finally:
+            self.ledger.close()
 
 
 def load_config(path: str) -> Config:
@@ -246,15 +244,14 @@ def cmd_init(args) -> dict:
             "ledger": config.ledger_path,
         }
     ledger = Ledger.create(config.ledger_path, config.n_nodes, config.f)
+    # Not a `with Deployment`: nothing is sealed unless the key file was written.
     try:
         gpm = GpmContract.create(
             ledger.tx_included,
             rate_limit=(config.rate_limit_attempts, config.rate_limit_window_secs),
         )
         sealing_key = crypto.random_bytes(crypto.KEY_LEN)
-        with open(config.sealing_key_path, "wb") as fh:
-            fh.write(sealing_key)
-        os.chmod(config.sealing_key_path, 0o600)
+        replace_file(config.sealing_key_path, [sealing_key])
         Deployment(config, ledger, gpm, sealing_key).save()
         with open(config.contract_pk_path, "w") as fh:
             fh.write(gpm.public_key.hex() + "\n")
@@ -270,38 +267,21 @@ def cmd_init(args) -> dict:
     }
 
 
-def _run_sealed(config: Config, flow: Callable[[GpmContract, Ledger], _Result]) -> _Result:
-    """Open the deployment, run `flow` on its contract and ledger, then seal
-    the contract state whether or not the flow failed, since a refused
-    guess has already been charged; the ledger is closed in every case."""
-    dep = load_deployment(config)
-    try:
-        return flow(dep.gpm, dep.ledger)
-    finally:
-        try:
-            dep.save()
-        finally:
-            dep.ledger.close()
-
-
 def cmd_register(args) -> dict:
     config = load_config(args.config)
     password = _get_password(PASSWORD_ENV, "password: ")
-    _run_sealed(
-        config, lambda gpm, ledger: run_register(gpm, ledger, args.username.encode(), password)
-    )
+    with load_deployment(config) as dep:
+        run_register(dep.gpm, dep.ledger, args.username.encode(), password)
     return {"status": "registered", "username": args.username}
 
 
 def cmd_login(args) -> dict:
     config = load_config(args.config)
     password = _get_password(PASSWORD_ENV, "password: ")
-    client_key, server_key = _run_sealed(
-        config,
-        lambda gpm, ledger: run_login(
-            gpm, ledger, args.username.encode(), password, args.server.encode()
-        ),
-    )
+    with load_deployment(config) as dep:
+        client_key, server_key = run_login(
+            dep.gpm, dep.ledger, args.username.encode(), password, args.server.encode()
+        )
     fingerprint = crypto.hash_parts("session-key-fingerprint", [client_key]).hex()[:16]
     return {
         "status": "authenticated",
@@ -316,12 +296,8 @@ def cmd_update(args) -> dict:
     config = load_config(args.config)
     old_password = _get_password(PASSWORD_ENV, "current password: ")
     new_password = _get_password(NEW_PASSWORD_ENV, "new password: ")
-    _run_sealed(
-        config,
-        lambda gpm, ledger: run_update(
-            gpm, ledger, args.username.encode(), old_password, new_password
-        ),
-    )
+    with load_deployment(config) as dep:
+        run_update(dep.gpm, dep.ledger, args.username.encode(), old_password, new_password)
     return {"status": "password-updated", "username": args.username}
 
 

@@ -12,9 +12,12 @@ the request's tag and username, unknown user, full rate window. None of
 these decodes a group element, so a guess over the cap costs no point
 decompression. Only then is the whole request decoded, then the stored
 record; a malformed request or a corrupt record is refused there, before
-any charge. So a request malformed past its username, or one against a
-corrupt record, is refused with RateLimited when the username's window is
-full, and with UnknownUser when no record is stored for the username.
+any charge. Every fault in a transaction body is MalformedRecord: a box
+that does not open, a field that does not parse, and a point or scalar
+that fails its check alike. So a request malformed past its username, or
+one against a corrupt record, is refused with RateLimited when the
+username's window is full, and with UnknownUser when no record is stored
+for the username.
 
 Methods are deterministic: given identical (state, transaction, proof) they
 produce identical outputs and state. The auth reply ciphertext is
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import struct
 import time
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from . import crypto, oprf
 from .errors import (
@@ -71,6 +74,16 @@ TxVerifier = Callable[[Transaction, InclusionProof], bool]
 _Decoded = TypeVar("_Decoded")
 
 DEFAULT_RATE_LIMIT: Tuple[int, float] = (10, 60.0)
+
+
+def _request(plaintext: bytes, cls: type) -> Any:
+    """Decode a transaction body as `cls`. A field that fails its range or
+    group check is refused like one that does not parse, so every fault in
+    a request reaches the caller as MalformedRecord."""
+    try:
+        return decode_expected(plaintext, cls)
+    except CryptoError as exc:
+        raise MalformedRecord(f"bad field in {cls.__name__}") from exc
 
 
 class GpmContract:
@@ -133,33 +146,36 @@ class GpmContract:
             raise NotOnLedger("transaction is not proven on the ledger")
         if tx.kind != kind:
             raise MalformedRecord("transaction kind does not match method")
-        return crypto.pk_decrypt(self._box_key, tx.payload)
+        try:
+            return crypto.pk_decrypt(self._box_key, tx.payload)
+        except CryptoError as exc:
+            raise MalformedRecord("transaction does not open under the contract key") from exc
 
     def _admit(
         self, tx: Transaction, proof: InclusionProof, kind: TxKind, cls: type
-    ) -> Tuple[bytes, float]:
+    ) -> Tuple[Any, float]:
         """The refusals of a rate-limited method, decided before any group
         element is decoded: the gate, the request's tag and username, an
-        unknown user, a full rate window. Returns the plaintext and the time
-        a charge is made at."""
+        unknown user, a full rate window. Returns the decoded request and
+        the time a charge is made at."""
         plaintext = self._gate(tx, proof, kind)
         username = leading_username(plaintext, cls)
         if username not in self._users:
             raise UnknownUser("no metadata for this username")
         now = self._clock()
         self._check_rate(username, now)
-        return plaintext, now
+        return _request(plaintext, cls), now
 
     def _metadata(self, username: bytes, decode: Callable[[bytes], _Decoded]) -> _Decoded:
         """Decode, with `decode`, the stored record of a user `_admit` let
         through.
 
         Where each decode happens: unseal checked only each record's tag and
-        length; `_admit` reads only the request's tag and username; the
-        method then decodes the whole request (`decode_expected`), then its
-        stored record here, and only after both does it charge or do group
-        work. So a bad field, of the request or of the record, is refused
-        before the method changes any state."""
+        length; `_admit` reads the request's tag and username and, once
+        the rate window admits it, decodes the whole request (`_request`);
+        the method then decodes its stored record here, and only after both
+        does it charge or do group work. So a bad field, of the request or
+        of the record, is refused before the method changes any state."""
         try:
             return decode(self._users[username])
         except CryptoError as exc:
@@ -192,8 +208,7 @@ class GpmContract:
 
     def new_pdid(self, tx: Transaction, proof: InclusionProof) -> None:
         """Register: store metadata for a previously unseen username."""
-        plaintext = self._gate(tx, proof, TxKind.REGISTER)
-        msg = decode_expected(plaintext, RegistrationPlaintext)
+        msg = _request(self._gate(tx, proof, TxKind.REGISTER), RegistrationPlaintext)
         if msg.username in self._users:
             raise UsernameTaken("metadata already stored for this username")
         self._users[msg.username] = msg.metadata.encode()
@@ -205,8 +220,7 @@ class GpmContract:
         cannot tell whether the password behind the blinded element is right,
         so every admitted attempt counts against the username's rate window.
         """
-        plaintext, now = self._admit(tx, proof, TxKind.AUTH, GpmAuthRequest)
-        msg = decode_expected(plaintext, GpmAuthRequest)
+        msg, now = self._admit(tx, proof, TxKind.AUTH, GpmAuthRequest)
         oprf_key, server_static_priv, client_static_pub, envelope = self._metadata(
             msg.username, decode_auth_metadata
         )
@@ -239,8 +253,7 @@ class GpmContract:
         the stored client key. Any failure is WrongPassword and counts as a
         guess; stored metadata is untouched.
         """
-        plaintext, now = self._admit(tx, proof, TxKind.UPDATE, UpdatePlaintext)
-        msg = decode_expected(plaintext, UpdatePlaintext)
+        msg, now = self._admit(tx, proof, TxKind.UPDATE, UpdatePlaintext)
         meta = self._metadata(msg.username, decode_metadata)
 
         envelope_key = oprf.oprf_eval(meta.oprf_key, msg.password)

@@ -25,7 +25,7 @@ import struct
 import tempfile
 import threading
 import zlib
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import crypto
 from .errors import DuplicateTransaction, LedgerError, MalformedRecord
@@ -64,6 +64,21 @@ class Transaction(crypto.Frozen):
     def decode(data: bytes) -> "Transaction":
         kind, payload = _parse_record(data, 0, len(data))
         return Transaction(_KINDS[kind], payload)
+
+
+def replace_file(path: str, parts: Iterable[bytes]) -> None:
+    """Write `parts` to a temp file beside `path`, made mode 0600 and under
+    a name of its own by `mkstemp`, then rename it over `path`; a failed
+    step removes it. The one writer of the sealing key, the sealed state
+    and the ledger index."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _tx_id(payload: bytes) -> bytes:
@@ -295,26 +310,15 @@ class Ledger:
         is not an error: the index is derived, and the next open scans."""
         if not len(self) or os.fstat(self._fh.fileno()).st_size != self._end:
             return
-        path = os.path.abspath(self.path) + ".idx"
         header = _INDEX_HEADER.pack(
             _INDEX_MAGIC, len(self), self._last_start, self._end, self._header_digest
         )
-        try:
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), prefix=os.path.basename(path) + "."
+        crc = zlib.crc32(self._ids, zlib.crc32(self._index_ids, zlib.crc32(header)))
+        with contextlib.suppress(OSError):
+            replace_file(
+                self.path + ".idx",
+                (header, self._index_ids, self._ids, crc.to_bytes(_CRC_LEN, "big")),
             )
-        except OSError:
-            return
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                crc = 0
-                for part in (header, self._index_ids, self._ids):
-                    fh.write(part)
-                    crc = zlib.crc32(part, crc)
-                fh.write(crc.to_bytes(_CRC_LEN, "big"))
-            os.replace(tmp, path)
-        except OSError:
-            os.unlink(tmp)
 
     # -- core operations ---------------------------------------------------
 

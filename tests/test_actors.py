@@ -187,7 +187,7 @@ def test_server_reply_key_is_one_shot():
     server, tx = actors.server_auth_phase1(b"srv", init, gpm.public_key)
     reply_ct = gpm.auth_pdid(tx, ledger.append(tx))
     actors.server_auth_phase2(server, reply_ct)
-    assert server.reply_keypair is None
+    assert server.reply_key is None
     with pytest.raises(StaleSession):
         actors.server_auth_phase2(server, reply_ct)
 
@@ -211,7 +211,7 @@ def test_server_session_holds_no_password_derived_values():
         "eph_pub",
         "e_client",
         "e_server",
-        "reply_keypair",
+        "reply_key",
         "session_key",
     }
 

@@ -179,6 +179,62 @@ def test_failed_save_leaves_no_temp_file(config_path, capsys, monkeypatch):
     assert sorted(os.listdir(os.path.dirname(config_path))) == before
 
 
+def test_init_never_leaves_the_sealing_key_readable_by_others(config_path, monkeypatch):
+    # Under a umask that lets group and others read new files, every file
+    # that holds the key bytes, looked at before each chmod and rename and
+    # at the end, is readable by its owner alone.
+    directory = os.path.dirname(config_path)
+    seen = []
+
+    def look():
+        for name in os.listdir(directory):
+            path = os.path.join(directory, name)
+            seen.append((name, os.stat(path).st_mode & 0o777, Path(path).read_bytes()))
+
+    for name in ("chmod", "replace"):
+        call = getattr(os, name)
+        monkeypatch.setattr(os, name, lambda *a, _call=call: look() or _call(*a))
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(["--config", config_path, "init"]) == 0
+    finally:
+        os.umask(umask)
+    look()
+    key = Path(cli.load_config(config_path).sealing_key_path).read_bytes()
+    modes = {(name, mode) for name, mode, data in seen if data == key}
+    assert ("sealing.key", 0o600) in modes
+    assert all(mode & 0o077 == 0 for _, mode in modes), modes
+
+
+def test_every_replaced_file_goes_through_one_writer(config_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.NEW_PASSWORD_ENV, "new password")
+    replaced = []
+    write = pdid.ledger.replace_file
+
+    def spy(path, parts):
+        replaced.append(os.path.basename(path))
+        write(path, parts)
+
+    monkeypatch.setattr(pdid.ledger, "replace_file", spy)
+    monkeypatch.setattr(cli, "replace_file", spy)
+    umask = os.umask(0o022)
+    try:
+        for command, files in [
+            (["init"], ["sealing.key", "gpm.sealed"]),
+            (["register", "--username", "al"], ["gpm.sealed", "ledger.log.idx"]),
+            (["login", "--username", "al"], ["gpm.sealed", "ledger.log.idx"]),
+            (["update", "--username", "al"], ["gpm.sealed", "ledger.log.idx"]),
+        ]:
+            del replaced[:]
+            assert run(["--config", config_path] + command, capsys)[0] == 0
+            assert replaced == files, command
+    finally:
+        os.umask(umask)
+    directory = os.path.dirname(config_path)
+    for name in ("sealing.key", "gpm.sealed", "ledger.log.idx"):
+        assert os.stat(os.path.join(directory, name)).st_mode & 0o777 == 0o600
+
+
 @pytest.mark.parametrize("damaged", ["sealing_key_path", "sealed_state_path"])
 def test_load_deployment_closes_the_ledger_when_it_fails(config_path, capsys, monkeypatch, damaged):
     run(["--config", config_path, "init"], capsys)

@@ -4,12 +4,11 @@ import tracemalloc
 
 import pytest
 
-from pdid import actors, crypto, oprf, wire
+from pdid import actors, cli, crypto, oprf, wire
 from pdid.contract import GpmContract
 from pdid.errors import (
     AuthFailure,
     AuthRejected,
-    InvalidElement,
     MalformedRecord,
     NotOnLedger,
     RateLimited,
@@ -108,7 +107,7 @@ def test_auth_reply_decrypts_to_session_response():
     register(gpm, ledger, b"alice", b"pw")
     session, reply_ct, _ = auth_once(gpm, ledger, b"alice", b"pw")
     reply = decode_expected(
-        crypto.pk_decrypt(session.reply_keypair.secret, reply_ct), GpmAuthResponse
+        crypto.pk_decrypt(session.reply_key, reply_ct), GpmAuthResponse
     )
     assert len(reply.session_key) == crypto.KEY_LEN
     # The evaluated element is the OPRF evaluation of the blinded point.
@@ -268,6 +267,13 @@ def bad_blinded_element(request: bytes) -> bytes:
     return request[:at] + b"\x05" + request[at + 1 :]
 
 
+def bad_server_scalar(request: bytes) -> bytes:
+    # Tag, username field, the two point fields, then the server's
+    # ephemeral scalar, which must be below the group order.
+    at = 1 + 2 + int.from_bytes(request[1:3], "big") + 2 * (2 + crypto.ELEMENT_LEN) + 2
+    return request[:at] + b"\xff" * crypto.SCALAR_LEN + request[at + crypto.SCALAR_LEN :]
+
+
 def limited(manual_clock, cap=2):
     """A deployment in which the username alice has used up its rate window."""
     ledger, gpm = fresh(clock=manual_clock, rate_limit=(cap, 60.0))
@@ -299,34 +305,53 @@ def test_rate_limited_update_decodes_no_element(manual_clock, decodes):
     assert decodes == []
 
 
+# A point or scalar that fails its check is as malformed as a byte too many.
 MALFORMED = pytest.mark.parametrize(
-    "mutate, error",
-    [(lambda r: r + b"\x00", MalformedRecord), (bad_blinded_element, InvalidElement)],
-    ids=["trailing-byte", "bad-element"],
+    "mutate",
+    [lambda r: r + b"\x00", bad_blinded_element, bad_server_scalar],
+    ids=["trailing-byte", "bad-element", "bad-scalar"],
 )
 
 
 @MALFORMED
-def test_malformed_auth_under_the_cap_is_refused_uncharged(manual_clock, mutate, error):
+def test_malformed_auth_under_the_cap_is_refused_uncharged(manual_clock, mutate):
     ledger, gpm = fresh(clock=manual_clock, rate_limit=(2, 60.0))
     register(gpm, ledger, b"alice", b"pw")
     auth_once(gpm, ledger, b"alice", b"pw")
     window = list(gpm._attempts[b"alice"])
     manual_clock.advance(1.0)
     tx = auth_tx(gpm, b"alice", mutate=mutate)
-    with pytest.raises(error):
+    with pytest.raises(MalformedRecord) as refused:
         gpm.auth_pdid(tx, ledger.append(tx))
+    assert cli._error_code(refused.value) == "malformed-record"
     assert gpm._attempts[b"alice"] == window
 
 
 @MALFORMED
-def test_malformed_auth_from_a_rate_limited_user_is_rate_limited(manual_clock, mutate, error):
+def test_malformed_auth_from_a_rate_limited_user_is_rate_limited(manual_clock, mutate):
     ledger, gpm = limited(manual_clock)
     window = list(gpm._attempts[b"alice"])
     tx = auth_tx(gpm, b"alice", mutate=mutate)
     with pytest.raises(RateLimited):
         gpm.auth_pdid(tx, ledger.append(tx))
     assert gpm._attempts[b"alice"] == window
+
+
+@pytest.mark.parametrize("method", ["new_pdid", "auth_pdid", "update_pdid"])
+def test_a_box_that_does_not_open_under_the_contract_key_is_malformed(manual_clock, method):
+    ledger, gpm = fresh(clock=manual_clock)
+    register(gpm, ledger, b"alice", b"pw")
+    other = crypto.pk_gen().public
+    _, init = actors.client_auth_init(b"alice", b"pw")
+    tx = {
+        "new_pdid": lambda: actors.client_register(b"bob", b"pw", other),
+        "auth_pdid": lambda: actors.server_auth_phase1(b"srv", init, other)[1],
+        "update_pdid": lambda: actors.client_update(b"alice", b"pw", b"new", other),
+    }[method]()
+    with pytest.raises(MalformedRecord) as refused:
+        getattr(gpm, method)(tx, ledger.append(tx))
+    assert cli._error_code(refused.value) == "malformed-record"
+    assert gpm.user_count() == 1 and gpm._attempts == {}
 
 
 def test_auth_with_a_bad_username_field_is_malformed(manual_clock):
