@@ -6,11 +6,14 @@ the OPRF key, or any static secret. Everything password-derived stays on the
 user side or inside the contract, and the server's one-shot reply secret is
 dropped as soon as the contract's reply is opened.
 
-Key schedule (both endpoints): shared = (peer_eph * peer_static^e)^(own_eph +
-e'*own_static), session_key = PRF(H(shared), 0x00). Key confirmation is a
-PRF tag over a role label plus the flow transcript, so the two directions
-can never be confused and any tampering with a flow shows up as a tag
-mismatch rather than a silently wrong key.
+Key schedule (both endpoints; FORMATS.md, "Key schedule"): the HMQV secret
+is sigma = (peer_eph * peer_static^e)^(own_eph + e'*own_static), and
+session_key = PRF(H("hmqv-key", x(sigma)), 0x00), where x(sigma) is the
+32-byte x-coordinate that one OpenSSL ECDH returns (`crypto.dh_x`), so
+sigma itself never reaches Python arithmetic. Key confirmation is a PRF
+tag over a role label plus the flow transcript, so the two directions can
+never be confused and any tampering with a flow shows up as a tag mismatch
+rather than a silently wrong key.
 """
 
 from __future__ import annotations
@@ -176,8 +179,8 @@ def client_auth_finish(
         session.eph_priv,
         crypto.scalar_mul(crypto.scalar_from_digest(e_client), static_priv),
     )
-    shared = crypto.exp(combined_base, exponent)
-    raw_key = crypto.hash_parts("hmqv-key", [shared.encode()])
+    shared = crypto.dh_x(combined_base, exponent)
+    raw_key = crypto.hash_parts("hmqv-key", [shared])
     session_key = crypto.prf(raw_key, b"\x00")
 
     del static_priv, exponent, shared, raw_key

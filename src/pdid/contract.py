@@ -11,13 +11,16 @@ refusals in this order: ledger inclusion, transaction kind, box decryption,
 the request's tag and username, unknown user, full rate window. None of
 these decodes a group element, so a guess over the cap costs no point
 decompression. Only then is the whole request decoded, then the stored
-record; a malformed request or a corrupt record is refused there, before
-any charge. Every fault in a transaction body is MalformedRecord: a box
-that does not open, a field that does not parse, and a point or scalar
-that fails its check alike. So a request malformed past its username, or
-one against a corrupt record, is refused with RateLimited when the
-username's window is full, and with UnknownUser when no record is stored
-for the username.
+record, then (for `auth_pdid`) the reply box's key exchange is run; a
+malformed request, a corrupt record or a reply key with no box to it is
+refused there, before any charge. Every fault in a transaction body is
+MalformedRecord: a box that does not open, a field that does not parse, a
+point or scalar that fails its check, and a low-order reply key alike. So
+a request malformed past its username, or one against a corrupt record, is
+refused with RateLimited when the username's window is full, and with
+UnknownUser when no record is stored for the username. One fault only
+group work can find, an HMQV secret that is the identity, is refused as
+MalformedRecord after the charge.
 
 Methods are deterministic: given identical (state, transaction, proof) they
 produce identical outputs and state. The auth reply ciphertext is
@@ -224,25 +227,34 @@ class GpmContract:
         oprf_key, server_static_priv, client_static_pub, envelope = self._metadata(
             msg.username, decode_auth_metadata
         )
+        entropy = crypto.hash_parts("gpm-reply", [self._keypair.secret, tx.id])
+        try:
+            reply_box = crypto.pk_box(msg.reply_pk, entropy)
+        except CryptoError as exc:
+            raise MalformedRecord("no box can be made to the reply key") from exc
         self._charge(msg.username, now)
 
         evaluated = oprf.evaluate(msg.blinded_element, oprf_key)
         e_client = crypto.scalar_from_digest(msg.e_client)
         e_server = crypto.scalar_from_digest(msg.e_server)
-        # (client ephemeral * client static^e_client) ^ (eph + e_server * static)
+        # sigma = (client ephemeral * client static^e_client) ^ (eph + e_server *
+        # static); the session key hashes only x(sigma).
         combined_base = crypto.mul(
             msg.client_eph_pub, crypto.exp(client_static_pub, e_client)
         )
         exponent = crypto.scalar_add(
             msg.server_eph_priv, crypto.scalar_mul(e_server, server_static_priv)
         )
-        shared = crypto.exp(combined_base, exponent)
-        raw_key = crypto.hash_parts("hmqv-key", [shared.encode()])
+        try:
+            shared = crypto.dh_x(combined_base, exponent)
+        except CryptoError as exc:
+            raise MalformedRecord("the request's HMQV secret is the identity") from exc
+        raw_key = crypto.hash_parts("hmqv-key", [shared])
         session_key = crypto.prf(raw_key, b"\x00")
+        del exponent, shared, raw_key
 
         reply = GpmAuthResponse(evaluated, envelope, session_key).encode()
-        entropy = crypto.hash_parts("gpm-reply", [self._keypair.secret, tx.id])
-        return crypto.pk_encrypt(msg.reply_pk, reply, entropy=entropy)
+        return crypto.pk_encrypt(reply_box, reply)
 
     def update_pdid(self, tx: Transaction, proof: InclusionProof) -> None:
         """Replace metadata after verifying the old password.

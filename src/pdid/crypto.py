@@ -13,7 +13,18 @@ run in OpenSSL through `cryptography`, so secret scalars go through its
 constant-time ladders. Decoding and the hash-to-group map take their square
 roots from that decompression (`_lift_x`), so point addition is the only
 Python field arithmetic left, besides the map's one inversion and few
-products per input. Symmetric and box primitives are delegated to the
+products per input, and `exp`'s y-recovery. `dh_x` returns x(b^e) straight
+from ECDH, so the HMQV secret, whose hash needs only its x, never reaches
+Python arithmetic. What does, on secret or password-derived values, for
+want of a native path in `cryptography`:
+- `exp`'s y-recovery (`pow(2y, -1, p)` and a few products), on the OPRF
+  output H(pw)^k that `oprf.unblind` and `oprf_eval` compute, and on the
+  password-derived base H(pw) of `oprf.blind`;
+- `_sswu` and `_add`, which `hash_to_group` runs on a password-derived
+  input;
+- `scalar_add` and `scalar_mul` on the HMQV exponents, and
+  `scalar_invert` on the OPRF blind.
+Symmetric and box primitives are delegated to the
 `cryptography` package: ChaCha20-Poly1305 for AEAD, X25519 +
 ChaCha20-Poly1305 for public-key boxes, Ed25519 for detached signatures.
 Public keys leave OpenSSL as raw bytes or coordinates (`public_bytes_raw`,
@@ -329,8 +340,30 @@ def base_exp(e: Scalar) -> GroupElement:
     return GroupElement(point.x, point.y)
 
 
-def _ecdh_x(k: int, public: EllipticCurvePublicKey) -> int:
-    return int.from_bytes(derive_private_key(k, _CURVE).exchange(ECDH(), public), "big")
+def _public_key(b: GroupElement) -> EllipticCurvePublicKey:
+    """A non-identity element as an OpenSSL public key."""
+    return EllipticCurvePublicKey.from_encoded_point(
+        _CURVE, b"\x04" + b.x.to_bytes(32, "big") + b.y.to_bytes(32, "big")
+    )
+
+
+def _ecdh(k: int, public: EllipticCurvePublicKey) -> bytes:
+    """x(k * public), 32 bytes big-endian, from OpenSSL's ECDH ladder."""
+    return derive_private_key(k, _CURVE).exchange(ECDH(), public)
+
+
+def dh_x(b: GroupElement, e: Scalar) -> bytes:
+    """x(b^e) as 32 big-endian bytes, from one OpenSSL ECDH.
+
+    This is the ECC CDH primitive's shared secret Z (NIST SP 800-56A
+    Rev. 3, section 5.7.1.2): the point's y never reaches Python. An
+    identity base or a zero exponent, whose result has no x, is refused.
+    """
+    if b.x is None:
+        raise InvalidElement("the identity base has no Diffie-Hellman value")
+    if e.value == 0:
+        raise InvalidScalar("a zero exponent has no Diffie-Hellman value")
+    return _ecdh(e.value, _public_key(b))
 
 
 def exp(b: GroupElement, e: Scalar) -> GroupElement:
@@ -341,6 +374,7 @@ def exp(b: GroupElement, e: Scalar) -> GroupElement:
     addition law (Brier and Joye, PKC 2002):
     y1 = (2b + (a + x*x1)(x + x1) - x2*(x - x1)^2) / (2y).
     e = n - 1 is the one case with (e+1)B at infinity; eB is then -B.
+    A caller that needs only x(eB) takes it from `dh_x`, at half the cost.
     """
     k = e.value
     if b.x is None or k == 0:
@@ -348,11 +382,9 @@ def exp(b: GroupElement, e: Scalar) -> GroupElement:
     if k == GROUP_ORDER - 1:
         return GroupElement(b.x, _P - b.y)
     x, y, p = b.x, b.y, _P
-    public = EllipticCurvePublicKey.from_encoded_point(
-        _CURVE, b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
-    )
-    x1 = _ecdh_x(k, public)
-    x2 = _ecdh_x(k + 1, public)
+    public = _public_key(b)
+    x1 = int.from_bytes(_ecdh(k, public), "big")
+    x2 = int.from_bytes(_ecdh(k + 1, public), "big")
     num = 2 * _B + (_A + x * x1) * (x + x1) - x2 * (x - x1) ** 2
     return GroupElement(x1, num * pow(2 * y, -1, p) % p)
 
@@ -517,8 +549,20 @@ def _box_key(eph_public: bytes, recipient_public: bytes, shared: bytes) -> bytes
     return hash_parts("pke-kdf", [eph_public, recipient_public, shared])
 
 
-def pk_encrypt(public: bytes, plaintext: bytes, entropy: Optional[bytes] = None) -> bytes:
-    """Encrypt to a box public key.
+class Box(Frozen):
+    """The sender's half of one box: ephemeral public key, nonce and AEAD
+    key, with the key exchange already done."""
+
+    __slots__ = ("eph_public", "nonce", "key")
+    eph_public: bytes
+    nonce: bytes
+    key: bytes
+
+
+def pk_box(public: bytes, entropy: Optional[bytes] = None) -> Box:
+    """Run the key exchange of a box to `public`. A key with no box to it
+    (a low-order X25519 point, whose shared secret is all zero) is refused
+    with CryptoError, so a caller can refuse it before changing any state.
 
     `entropy`, when given, derandomizes the ephemeral key and nonce; callers
     must guarantee it is unique per (recipient, plaintext) use. This exists so
@@ -535,10 +579,22 @@ def pk_encrypt(public: bytes, plaintext: bytes, entropy: Optional[bytes] = None)
         nonce = hash_parts("pke-nonce", [entropy])[:AEAD_NONCE_LEN]
     eph = X25519PrivateKey.from_private_bytes(eph_secret)
     eph_public = eph.public_key().public_bytes_raw()
-    shared = eph.exchange(X25519PublicKey.from_public_bytes(public))
-    key = _box_key(eph_public, public, shared)
-    body = ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
-    return eph_public + nonce + body
+    try:
+        shared = eph.exchange(X25519PublicKey.from_public_bytes(public))
+    except ValueError as exc:
+        raise CryptoError("box public key is a low-order point") from exc
+    return Box(eph_public, nonce, _box_key(eph_public, public, shared))
+
+
+def pk_encrypt(
+    public: Union[bytes, Box], plaintext: bytes, entropy: Optional[bytes] = None
+) -> bytes:
+    """Encrypt to a box public key (see `pk_box` for `entropy`) or,
+    skipping the key exchange, into a `pk_box`."""
+    box = pk_box(public, entropy) if isinstance(public, bytes) else public
+    return box.eph_public + box.nonce + ChaCha20Poly1305(box.key).encrypt(
+        box.nonce, plaintext, None
+    )
 
 
 def box_private_key(secret: bytes) -> X25519PrivateKey:

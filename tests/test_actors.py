@@ -2,15 +2,18 @@
 
 The key-agreement tests check both endpoints against an integer-arithmetic
 oracle: the shared point must equal the generator raised to
-(x_u + e_u*p_u) * (x_s + e_s*p_s) computed directly on scalars.
+(x_u + e_u*p_u) * (x_s + e_s*p_s) computed directly on scalars, each
+endpoint's `dh_x` must equal its x-coordinate, and a login's session keys
+must be the PRF of that x-coordinate's hash.
 """
 
 import pytest
 
-from pdid import actors, crypto
+from pdid import actors, crypto, oprf
 from pdid.contract import GpmContract
 from pdid.errors import StaleSession, WrongPassword
 from pdid.ledger import Ledger
+from pdid.wire import decode_envelope_plaintext, decode_metadata
 
 
 def fresh():
@@ -119,9 +122,10 @@ def test_different_server_identity_changes_key():
 # ---------------------------------------------------------------------------
 
 
-def _endpoint_shared(peer_eph, peer_static, e_peer, own_eph, e_own, own_static):
+def _endpoint_inputs(peer_eph, peer_static, e_peer, own_eph, e_own, own_static):
+    """One endpoint's HMQV (base, exponent)."""
     base = crypto.mul(peer_eph, crypto.exp(peer_static, e_peer))
-    return crypto.exp(base, crypto.scalar_add(own_eph, crypto.scalar_mul(e_own, own_static)))
+    return base, crypto.scalar_add(own_eph, crypto.scalar_mul(e_own, own_static))
 
 
 def test_agreement_identity_matches_integer_oracle():
@@ -133,8 +137,8 @@ def test_agreement_identity_matches_integer_oracle():
         X_u, P_u = crypto.base_exp(x_u), crypto.base_exp(p_u)
         X_s, P_s = crypto.base_exp(x_s), crypto.base_exp(p_s)
 
-        client_side = _endpoint_shared(X_s, P_s, e_s, x_u, e_u, p_u)
-        server_side = _endpoint_shared(X_u, P_u, e_u, x_s, e_s, p_s)
+        client_side = _endpoint_inputs(X_s, P_s, e_s, x_u, e_u, p_u)
+        server_side = _endpoint_inputs(X_u, P_u, e_u, x_s, e_s, p_s)
         oracle = crypto.base_exp(
             crypto.Scalar(
                 (x_u.value + e_u.value * p_u.value)
@@ -142,7 +146,34 @@ def test_agreement_identity_matches_integer_oracle():
                 % q
             )
         )
-        assert client_side == server_side == oracle
+        assert crypto.exp(*client_side) == crypto.exp(*server_side) == oracle
+        oracle_x = oracle.x.to_bytes(32, "big")
+        assert crypto.dh_x(*client_side) == crypto.dh_x(*server_side) == oracle_x
+
+
+def test_login_session_key_is_the_prf_of_the_hashed_x_coordinate():
+    ledger, gpm = fresh()
+    register(gpm, ledger, b"alice", b"pw")
+    meta = decode_metadata(gpm._users[b"alice"])
+    envelope_key = oprf.oprf_eval(meta.oprf_key, b"pw")
+    p_u = decode_envelope_plaintext(crypto.aead_decrypt(envelope_key, meta.envelope))[0]
+    client, init = actors.client_auth_init(b"alice", b"pw")
+    x_u = client.eph_priv
+    server, tx = actors.server_auth_phase1(b"srv", init, gpm.public_key)
+    reply_ct = gpm.auth_pdid(tx, ledger.append(tx))
+    server_key, to_user = actors.server_auth_phase2(server, reply_ct)
+    client_key = actors.client_auth_finish(client, b"pw", b"srv", to_user)
+
+    e_u = crypto.scalar_from_digest(server.e_client).value
+    e_s = crypto.scalar_from_digest(server.e_server).value
+    exponent = (
+        (x_u.value + e_u * p_u.value)
+        * (server.eph_priv.value + e_s * meta.server_static_priv.value)
+        % crypto.GROUP_ORDER
+    )
+    x = crypto.base_exp(crypto.Scalar(exponent)).x.to_bytes(32, "big")
+    expected = crypto.prf(crypto.hash_parts("hmqv-key", [x]), b"\x00")
+    assert client_key == server_key == expected
 
 
 # ---------------------------------------------------------------------------

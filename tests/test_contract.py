@@ -305,11 +305,18 @@ def test_rate_limited_update_decodes_no_element(manual_clock, decodes):
     assert decodes == []
 
 
-# A point or scalar that fails its check is as malformed as a byte too many.
+def low_order_reply_key(request: bytes) -> bytes:
+    # The reply key is the last field; X25519 with the all-zero point gives
+    # an all-zero shared secret, so no reply box can be made to it.
+    return request[: -crypto.BOX_PUBLIC_LEN] + bytes(crypto.BOX_PUBLIC_LEN)
+
+
+# A point or scalar that fails its check is as malformed as a byte too many,
+# and so is a reply key no box can be made to.
 MALFORMED = pytest.mark.parametrize(
     "mutate",
-    [lambda r: r + b"\x00", bad_blinded_element, bad_server_scalar],
-    ids=["trailing-byte", "bad-element", "bad-scalar"],
+    [lambda r: r + b"\x00", bad_blinded_element, bad_server_scalar, low_order_reply_key],
+    ids=["trailing-byte", "bad-element", "bad-scalar", "low-order-reply-key"],
 )
 
 
@@ -402,6 +409,71 @@ def test_admitted_flows_decode_only_the_elements_they_use(decodes, monkeypatch):
     actors.run_update(gpm, ledger, b"alice", b"pw", b"new")
     # The new record's two public keys and the stored record's two.
     assert len(decodes) == 4
+
+
+def degenerate_hmqv_request(gpm, degenerate):
+    """An AUTH request for alice whose HMQV secret has no x-coordinate: a
+    combined base of client_static * client_static^(n-1), the identity, or
+    an exponent of 0 + 0 * server_static."""
+    meta = decode_metadata(gpm._users[b"alice"])
+    _, init = actors.client_auth_init(b"alice", b"pw")
+    fields = dict(
+        username=b"alice",
+        blinded_element=init.blinded_element,
+        client_eph_pub=init.client_eph_pub,
+        server_eph_priv=crypto.random_scalar(),
+        e_client=crypto.random_bytes(crypto.DIGEST_LEN),
+        e_server=crypto.random_bytes(crypto.DIGEST_LEN),
+        reply_pk=crypto.pk_gen().public,
+    )
+    if degenerate == "identity-base":
+        fields["client_eph_pub"] = meta.client_static_pub
+        fields["e_client"] = (crypto.GROUP_ORDER - 1).to_bytes(crypto.SCALAR_LEN, "little")
+    else:
+        fields["server_eph_priv"] = crypto.Scalar(0)
+        fields["e_server"] = bytes(crypto.DIGEST_LEN)
+    request = GpmAuthRequest(**fields).encode()
+    return Transaction(TxKind.AUTH, crypto.pk_encrypt(gpm.public_key, request))
+
+
+@pytest.mark.parametrize("degenerate", ["identity-base", "zero-exponent"])
+def test_auth_whose_hmqv_secret_is_the_identity_is_malformed(manual_clock, degenerate):
+    # Only the group work finds this, so the attempt is already charged.
+    ledger, gpm = fresh(clock=manual_clock)
+    register(gpm, ledger, b"alice", b"pw")
+    tx = degenerate_hmqv_request(gpm, degenerate)
+    with pytest.raises(MalformedRecord) as refused:
+        gpm.auth_pdid(tx, ledger.append(tx))
+    assert cli._error_code(refused.value) == "malformed-record"
+    assert len(gpm._attempts[b"alice"]) == 1
+
+
+def test_a_login_makes_five_exp_and_two_dh_x(monkeypatch):
+    ledger, gpm = fresh()
+    register(gpm, ledger, b"alice", b"pw")
+    calls = {"exp": 0, "dh_x": 0}
+
+    def counted(name):
+        original = getattr(crypto, name, None)
+
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(crypto, name, counted(name), raising=False)
+    monkeypatch.setattr(oprf, "exp", crypto.exp)  # oprf binds exp by name
+    actors.run_login(gpm, ledger, b"alice", b"pw", b"srv")
+    # OPRF blind, evaluate and unblind, one static-key step per endpoint,
+    # then the HMQV secret's x at each endpoint.
+    assert calls == {"exp": 5, "dh_x": 2}
+    calls.update(exp=0, dh_x=0)
+    with pytest.raises(WrongPassword):
+        actors.run_login(gpm, ledger, b"alice", b"typo", b"srv")
+    # The client stops when the envelope does not open.
+    assert calls == {"exp": 4, "dh_x": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,29 @@ def test_exp_matches_independent_library_dh():
         assert shared == ours.x.to_bytes(32, "big")
 
 
+def test_dh_x_is_the_x_coordinate_of_exp(seeded):
+    n = crypto.GROUP_ORDER
+    exponents = [1, n - 1] + [crypto.random_scalar().value for _ in range(30)]
+    for k in exponents:
+        b = crypto.base_exp(crypto.random_scalar())
+        e = crypto.Scalar(k)
+        assert crypto.dh_x(b, e) == crypto.exp(b, e).x.to_bytes(32, "big")
+
+
+def test_dh_x_keeps_leading_zero_bytes():
+    k = next(k for k in range(1, 10_000) if crypto.base_exp(crypto.Scalar(k)).x < 1 << 248)
+    out = crypto.dh_x(crypto.GENERATOR, crypto.Scalar(k))
+    assert len(out) == 32 and out[0] == 0
+    assert out == crypto.base_exp(crypto.Scalar(k)).x.to_bytes(32, "big")
+
+
+def test_dh_x_refuses_the_identity_base_and_the_zero_exponent():
+    with pytest.raises(InvalidElement):
+        crypto.dh_x(crypto.IDENTITY, crypto.random_scalar())
+    with pytest.raises(InvalidScalar):
+        crypto.dh_x(crypto.base_exp(crypto.random_scalar()), crypto.Scalar(0))
+
+
 def test_mul_is_group_addition():
     for _ in range(20):
         a, b = crypto.random_scalar(), crypto.random_scalar()
@@ -578,6 +601,27 @@ def test_pk_encrypt_entropy_derandomizes():
     assert crypto.pk_decrypt(pair.secret, a) == b"m"
     c = crypto.pk_encrypt(pair.public, b"m", entropy=crypto.random_bytes(32))
     assert c != a
+
+
+def test_pk_encrypt_refuses_a_low_order_key():
+    # X25519 with the all-zero point (order 1) or the order-8 point below
+    # gives an all-zero shared secret, which OpenSSL refuses.
+    order_8 = bytes.fromhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800")
+    for public in (bytes(32), order_8):
+        for entropy in (None, crypto.random_bytes(32)):
+            with pytest.raises(CryptoError):
+                crypto.pk_encrypt(public, b"m", entropy=entropy)
+            with pytest.raises(CryptoError):
+                crypto.pk_box(public, entropy)
+
+
+def test_pk_encrypt_with_a_prepared_box():
+    pair = crypto.pk_gen()
+    entropy = crypto.random_bytes(32)
+    box = crypto.pk_box(pair.public, entropy)
+    ct = crypto.pk_encrypt(box, b"m")
+    assert ct == crypto.pk_encrypt(pair.public, b"m", entropy=entropy)
+    assert crypto.pk_decrypt(pair.secret, ct) == b"m"
 
 
 # ---------------------------------------------------------------------------
