@@ -8,20 +8,17 @@ detached signatures for ledger attestations.
 The group is NIST P-256 behind this module's own types, so that element
 encodings stay at 33 bytes and the protocol layer can treat the group as an
 opaque module boundary; swapping curves means editing only this file.
-Scalar multiplication and point decompression (with its on-curve check)
-run in OpenSSL through `cryptography`, so secret scalars go through its
-constant-time ladders. Decoding and the hash-to-group map take their square
-roots from that decompression (`_lift_x`), so point addition is the only
-Python field arithmetic left, besides the map's one inversion and few
-products per input, and `exp`'s y-recovery. `dh_x` returns x(b^e) straight
-from ECDH, so the HMQV secret, whose hash needs only its x, never reaches
-Python arithmetic. What does, on secret or password-derived values, for
-want of a native path in `cryptography`:
-- `exp`'s y-recovery (`pow(2y, -1, p)` and a few products), on the OPRF
-  output H(pw)^k that `oprf.unblind` and `oprf_eval` compute, and on the
-  password-derived base H(pw) of `oprf.blind`;
+Scalar multiplication (`exp`, `dh_x`, `base_exp`) is one `EC_POINT_mul`
+each in OpenSSL 3's `libcrypto.so.3`, bound through `ctypes` (the library
+CPython's own `ssl` module links), with the scalar flagged constant-time as
+ECDH flags its key; `cryptography` exposes no multiplication by a scalar
+but ECDH, which returns only x. Point decompression (with its on-curve
+check) runs in OpenSSL through `cryptography`: decoding and the
+hash-to-group map take their square roots from it (`_lift_x`). What is
+left of Python arithmetic on secret or password-derived values, for want
+of a native path:
 - `_sswu` and `_add`, which `hash_to_group` runs on a password-derived
-  input;
+  input (`_add` is also `mul`, which adds public HMQV values);
 - `scalar_add` and `scalar_mul` on the HMQV exponents, and
   `scalar_invert` on the OPRF blind.
 Symmetric and box primitives are delegated to the
@@ -33,12 +30,14 @@ Public keys leave OpenSSL as raw bytes or coordinates (`public_bytes_raw`,
 
 SHA-256, SHA-512 and HMAC-SHA256 also run through `cryptography`, and
 randomness is `os.urandom` (what `secrets.token_bytes` returns), so a
-`pdid` process loads one OpenSSL binding, not the stdlib's `_hashlib`
-beside it: importing `hmac`, `hashlib` and `secrets` cost 6-8 ms a command
-(`python -X importtime`, 2-CPU machine). A hash of a short input costs
-about 1.5 µs more this way (2.2 µs against 0.7 µs on 150 bytes); HMAC is
-at parity. `cryptography`'s `constant_time` imports the stdlib `hmac`, so
-tags are checked with `HMAC.verify` (`prf_verify`).
+`pdid` process does not load the stdlib's `_hashlib`: importing `hmac`,
+`hashlib` and `secrets` cost 6-8 ms a command (`python -X importtime`,
+2-CPU machine). A hash of a short input costs about 1.5 µs more this way
+(2.2 µs against 0.7 µs on 150 bytes); HMAC is at parity. `cryptography`'s
+`constant_time` imports the stdlib `hmac`, so tags are checked with
+`HMAC.verify` (`prf_verify`). The system `libcrypto.so.3` behind
+`_hashlib` is loaded all the same, for the multiplication: importing
+`ctypes` costs about 3.6 ms a command and opening the library about 2 ms.
 
 `Frozen` is the base of the immutable value types here and in the layers
 above. Its one `__init__` sets the fields a subclass names in `__slots__`,
@@ -51,17 +50,13 @@ deterministic stream in tests via :func:`set_insecure_seed`.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives.asymmetric.ec import (
-    ECDH,
-    SECP256R1,
-    EllipticCurvePublicKey,
-    derive_private_key,
-)
+from cryptography.hazmat.primitives.asymmetric.ec import SECP256R1, EllipticCurvePublicKey
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -332,61 +327,134 @@ def random_scalar() -> Scalar:
             return Scalar(v)
 
 
-def base_exp(e: Scalar) -> GroupElement:
-    """Generator raised to e (OpenSSL's constant-time fixed-base ladder)."""
-    if e.value == 0:
+# ---------------------------------------------------------------------------
+# Scalar multiplication: OpenSSL 3's EC_POINT_mul through ctypes.
+# ---------------------------------------------------------------------------
+
+_LIBCRYPTO = "libcrypto.so.3"
+try:
+    # By soname: ctypes.util.find_library would spawn ldconfig on every command.
+    _libcrypto = ctypes.CDLL(_LIBCRYPTO)
+except OSError as exc:
+    raise ImportError(f"pdid needs OpenSSL 3's {_LIBCRYPTO}: {exc}") from exc
+
+_ptr = ctypes.c_void_p
+
+
+def _bind(name: str, restype: Optional[type], *argtypes: type):
+    function = getattr(_libcrypto, name)
+    function.restype = restype
+    function.argtypes = argtypes
+    return function
+
+
+_EC_GROUP_new_by_curve_name = _bind("EC_GROUP_new_by_curve_name", _ptr, ctypes.c_int)
+_EC_POINT_new = _bind("EC_POINT_new", _ptr, _ptr)
+_EC_POINT_clear_free = _bind("EC_POINT_clear_free", None, _ptr)
+_EC_POINT_oct2point = _bind(
+    "EC_POINT_oct2point", ctypes.c_int, _ptr, _ptr, ctypes.c_char_p, ctypes.c_size_t, _ptr
+)
+_EC_POINT_point2oct = _bind(
+    "EC_POINT_point2oct",
+    ctypes.c_size_t,
+    _ptr,
+    _ptr,
+    ctypes.c_int,
+    ctypes.c_char_p,
+    ctypes.c_size_t,
+    _ptr,
+)
+_EC_POINT_mul = _bind("EC_POINT_mul", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr)
+_BN_bin2bn = _bind("BN_bin2bn", _ptr, ctypes.c_char_p, ctypes.c_int, _ptr)
+_BN_set_flags = _bind("BN_set_flags", None, _ptr, ctypes.c_int)
+_BN_clear_free = _bind("BN_clear_free", None, _ptr)
+
+_NID_X9_62_PRIME256V1 = 415
+_POINT_CONVERSION_UNCOMPRESSED = 4
+_BN_FLG_CONSTTIME = 0x04
+_OCTETS_LEN = 65  # 0x04 || x || y
+
+_GROUP = _EC_GROUP_new_by_curve_name(_NID_X9_62_PRIME256V1)
+if not _GROUP:
+    raise ImportError(f"{_LIBCRYPTO} has no P-256 group")
+
+
+def _point_mul(k: int, b: Optional[GroupElement]) -> bytes:
+    """k*b, or k*G when b is None, as uncompressed octets: 65 bytes, or
+    one zero byte for the identity. b must not be the identity.
+
+    The scalar is a BIGNUM flagged BN_FLG_CONSTTIME, as EC_KEY flags the
+    one ECDH multiplies by, and is cleared when freed. No BN_CTX is
+    passed, so OpenSSL makes its scratch space per call: ctypes releases
+    the GIL around each call, and threads may multiply at once.
+    """
+    scalar = _BN_bin2bn(k.to_bytes(SCALAR_LEN, "big"), SCALAR_LEN, None)
+    if not scalar:
+        raise CryptoError("BN_bin2bn failed")
+    result = point = None
+    try:
+        _BN_set_flags(scalar, _BN_FLG_CONSTTIME)
+        result = _EC_POINT_new(_GROUP)
+        if not result:
+            raise CryptoError("EC_POINT_new failed")
+        if b is None:
+            done = _EC_POINT_mul(_GROUP, result, scalar, None, None, None)
+        else:
+            point = _EC_POINT_new(_GROUP)
+            if not point:
+                raise CryptoError("EC_POINT_new failed")
+            octets = b"\x04" + b.x.to_bytes(32, "big") + b.y.to_bytes(32, "big")
+            if not _EC_POINT_oct2point(_GROUP, point, octets, _OCTETS_LEN, None):
+                raise CryptoError("EC_POINT_oct2point refused the base")
+            done = _EC_POINT_mul(_GROUP, result, None, point, scalar, None)
+        if not done:
+            raise CryptoError("EC_POINT_mul failed")
+        out = ctypes.create_string_buffer(_OCTETS_LEN)
+        written = _EC_POINT_point2oct(
+            _GROUP, result, _POINT_CONVERSION_UNCOMPRESSED, out, _OCTETS_LEN, None
+        )
+        if not written:
+            raise CryptoError("EC_POINT_point2oct failed")
+        return out.raw[:written]
+    finally:
+        _BN_clear_free(scalar)
+        _EC_POINT_clear_free(result)
+        _EC_POINT_clear_free(point)
+
+
+def _element(octets: bytes) -> GroupElement:
+    """An element from OpenSSL's uncompressed octets (one zero byte is the
+    identity)."""
+    if len(octets) == 1:
         return IDENTITY
-    point = derive_private_key(e.value, _CURVE).public_key().public_numbers()
-    return GroupElement(point.x, point.y)
+    return GroupElement(int.from_bytes(octets[1:33], "big"), int.from_bytes(octets[33:], "big"))
 
 
-def _public_key(b: GroupElement) -> EllipticCurvePublicKey:
-    """A non-identity element as an OpenSSL public key."""
-    return EllipticCurvePublicKey.from_encoded_point(
-        _CURVE, b"\x04" + b.x.to_bytes(32, "big") + b.y.to_bytes(32, "big")
-    )
-
-
-def _ecdh(k: int, public: EllipticCurvePublicKey) -> bytes:
-    """x(k * public), 32 bytes big-endian, from OpenSSL's ECDH ladder."""
-    return derive_private_key(k, _CURVE).exchange(ECDH(), public)
+def base_exp(e: Scalar) -> GroupElement:
+    """Generator raised to e (OpenSSL's constant-time fixed-base multiplication)."""
+    return _element(_point_mul(e.value, None))
 
 
 def dh_x(b: GroupElement, e: Scalar) -> bytes:
-    """x(b^e) as 32 big-endian bytes, from one OpenSSL ECDH.
+    """x(b^e) as 32 big-endian bytes, from one native multiplication.
 
     This is the ECC CDH primitive's shared secret Z (NIST SP 800-56A
-    Rev. 3, section 5.7.1.2): the point's y never reaches Python. An
-    identity base or a zero exponent, whose result has no x, is refused.
+    Rev. 3, section 5.7.1.2). An identity base or a zero exponent, whose
+    result has no x, is refused.
     """
     if b.x is None:
         raise InvalidElement("the identity base has no Diffie-Hellman value")
     if e.value == 0:
         raise InvalidScalar("a zero exponent has no Diffie-Hellman value")
-    return _ecdh(e.value, _public_key(b))
+    return _point_mul(e.value, b)[1:33]
 
 
 def exp(b: GroupElement, e: Scalar) -> GroupElement:
     """b raised to e; identity base or zero exponent give the identity.
-
-    OpenSSL's ECDH ladder yields only x-coordinates, so this takes
-    x1 = x(eB) and x2 = x((e+1)B) and recovers y1 from the curve's
-    addition law (Brier and Joye, PKC 2002):
-    y1 = (2b + (a + x*x1)(x + x1) - x2*(x - x1)^2) / (2y).
-    e = n - 1 is the one case with (e+1)B at infinity; eB is then -B.
-    A caller that needs only x(eB) takes it from `dh_x`, at half the cost.
-    """
-    k = e.value
-    if b.x is None or k == 0:
+    A caller that needs only x(b^e) takes it from `dh_x`."""
+    if b.x is None:
         return IDENTITY
-    if k == GROUP_ORDER - 1:
-        return GroupElement(b.x, _P - b.y)
-    x, y, p = b.x, b.y, _P
-    public = _public_key(b)
-    x1 = int.from_bytes(_ecdh(k, public), "big")
-    x2 = int.from_bytes(_ecdh(k + 1, public), "big")
-    num = 2 * _B + (_A + x * x1) * (x + x1) - x2 * (x - x1) ** 2
-    return GroupElement(x1, num * pow(2 * y, -1, p) % p)
+    return _element(_point_mul(e.value, b))
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:

@@ -1,13 +1,18 @@
 """Group arithmetic, hashing, PRF, AEAD, public-key box, and signatures.
 
-The group tests include an independent-oracle cross-check: the same curve
-is available in the `cryptography` package, so exponentiation here must
-agree with it on random inputs.
+The group tests check exponentiation against a pure-Python affine
+reference, and against the same curve in the `cryptography` package on
+random inputs. The latter compares two OpenSSL builds: the system
+libcrypto that `crypto` multiplies with, and the one `cryptography` ships.
 """
 
 import hashlib
 import hmac
+import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -270,8 +275,8 @@ def test_element_decode_matches_reference(seeded):
 
 
 # Independent reference for the group law: affine double-and-add in pure
-# Python (None is the identity), so exp, base_exp and mul are not checked
-# against OpenSSL alone.
+# Python (None is the identity), so exp, base_exp, dh_x and mul are not
+# checked against OpenSSL alone.
 P256_N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 P256_G = (
     0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
@@ -317,13 +322,61 @@ def test_group_operations_match_affine_reference(seeded):
     for k in scalars:
         assert as_pair(crypto.base_exp(crypto.Scalar(k))) == reference_mult(k, P256_G)
     cases = [(bases[i % len(bases)], k) for i, k in enumerate(scalars)]
-    cases += [(base, k) for base in bases[:3] for k in EDGE_SCALARS]
+    cases += [(base, k) for base in bases for k in EDGE_SCALARS]
     for base, k in cases:
-        ours = crypto.exp(crypto.GroupElement(*base), crypto.Scalar(k))
-        assert as_pair(ours) == reference_mult(k, base)
+        element, e = crypto.GroupElement(*base), crypto.Scalar(k)
+        expected = reference_mult(k, base)
+        assert as_pair(crypto.exp(element, e)) == expected
+        assert crypto.dh_x(element, e) == expected[0].to_bytes(32, "big")
+    assert crypto.base_exp(crypto.Scalar(0)) == crypto.IDENTITY
+    for base in bases:
+        assert crypto.exp(crypto.GroupElement(*base), crypto.Scalar(0)) == crypto.IDENTITY
+        with pytest.raises(InvalidScalar):
+            crypto.dh_x(crypto.GroupElement(*base), crypto.Scalar(0))
+    for k in (0, *EDGE_SCALARS):
+        assert crypto.exp(crypto.IDENTITY, crypto.Scalar(k)) == crypto.IDENTITY
+        with pytest.raises(InvalidElement):
+            crypto.dh_x(crypto.IDENTITY, crypto.Scalar(k))
     for a, b in zip(bases, bases[1:] + bases[:1]):
         ours = crypto.mul(crypto.GroupElement(*a), crypto.GroupElement(*b))
         assert as_pair(ours) == reference_add(a, b)
+
+
+def test_multiplications_agree_across_threads(seeded):
+    # ctypes releases the GIL around EC_POINT_mul, so threads multiply at
+    # once; any scratch state they shared would show as a wrong result.
+    cases = [(crypto.base_exp(crypto.random_scalar()), crypto.random_scalar()) for _ in range(8)]
+
+    def results():
+        return [
+            (crypto.exp(b, e), crypto.dh_x(b, e), crypto.base_exp(e)) for b, e in cases
+        ]
+
+    serial = results()
+    deadline = time.monotonic() + 1.5
+    rounds, errors = [], []
+
+    def worker():
+        try:
+            while time.monotonic() < deadline:
+                assert results() == serial
+                rounds.append(1)
+        except Exception as exc:  # collected, asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(2 * (os.cpu_count() or 1) + 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(rounds) >= len(threads)
 
 
 def test_mul_doubling_and_inverse():
