@@ -12,21 +12,30 @@ Scalar multiplication (`exp`, `dh_x`, `base_exp`) is one `EC_POINT_mul`
 each in OpenSSL 3's `libcrypto.so.3`, bound through `ctypes` (the library
 CPython's own `ssl` module links), with the scalar flagged constant-time as
 ECDH flags its key; `cryptography` exposes no multiplication by a scalar
-but ECDH, which returns only x. Point decompression (with its on-curve
-check) runs in OpenSSL through `cryptography`: decoding and the
-hash-to-group map take their square roots from it (`_lift_x`). What is
-left of Python arithmetic on secret or password-derived values, for want
-of a native path:
-- `_sswu` and `_add`, which `hash_to_group` runs on a password-derived
-  input (`_add` is also `mul`, which adds public HMQV values);
-- `scalar_add` and `scalar_mul` on the HMQV exponents, and
-  `scalar_invert` on the OPRF blind.
+but ECDH, which returns only x. Every square root and every inversion of a
+secret or password-derived value is one constant-time modular
+exponentiation in the same library (`_field_pow`, BN_mod_exp_mont_consttime
+with the base flagged constant-time): the square root that decodes a point
+and checks that it is on the curve, the one square root of each
+hash-to-group map, the inversion that makes the map's sum affine, and
+`scalar_invert` on the OPRF blind (s^(n-2)). The map is the straight-line
+simplified SWU of RFC 9380 (appendix F.2), which computes both candidate
+x and selects without a branch, so its time does not tell which one the
+password took. What is left of Python arithmetic on secret or
+password-derived values, for want of a native path, is multiplication and
+addition mod p or n:
+- the map's field arithmetic and the complete projective addition of its
+  two points (`_sswu`, `_add_complete`);
+- `scalar_add` and `scalar_mul` on the HMQV exponents.
+`mul` adds public HMQV values in affine coordinates with Python's
+`pow(x, -1, p)` (`_add`): a native inversion there was measured slower.
 Symmetric and box primitives are delegated to the
 `cryptography` package: ChaCha20-Poly1305 for AEAD, X25519 +
 ChaCha20-Poly1305 for public-key boxes, Ed25519 for detached signatures.
-Public keys leave OpenSSL as raw bytes or coordinates (`public_bytes_raw`,
-`public_numbers`), so this module does not import `cryptography`'s
-`serialization` package, which loads the SSH and RSA code with it.
+Public keys leave OpenSSL as raw bytes (`public_bytes_raw`), so this
+module does not import `cryptography`'s `serialization` package, which
+loads the SSH and RSA code with it; nor does it import its `ec` module,
+whose P-256 keys the native calls replace.
 
 SHA-256, SHA-512 and HMAC-SHA256 also run through `cryptography`, and
 randomness is `os.urandom` (what `secrets.token_bytes` returns), so a
@@ -36,7 +45,7 @@ randomness is `os.urandom` (what `secrets.token_bytes` returns), so a
 (2.2 µs against 0.7 µs on 150 bytes); HMAC is at parity. `cryptography`'s
 `constant_time` imports the stdlib `hmac`, so tags are checked with
 `HMAC.verify` (`prf_verify`). The system `libcrypto.so.3` behind
-`_hashlib` is loaded all the same, for the multiplication: importing
+`_hashlib` is loaded all the same, for the native arithmetic: importing
 `ctypes` costs about 3.6 ms a command and opening the library about 2 ms.
 
 `Frozen` is the base of the immutable value types here and in the layers
@@ -56,7 +65,6 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives.asymmetric.ec import SECP256R1, EllipticCurvePublicKey
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -160,6 +168,7 @@ _A = _P - 3
 _B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
 _GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 _GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
+_SQRT_EXPONENT = (_P + 1) // 4  # r^((p+1)/4) is a square root of r if r has one
 
 
 def _add(x1: int, y1: int, x2: int, y2: int) -> tuple[Optional[int], Optional[int]]:
@@ -279,24 +288,12 @@ class GroupElement(Frozen):
 
 IDENTITY = GroupElement(None, None)
 GENERATOR = GroupElement(_GX, _GY)
-_CURVE = SECP256R1()
-
-
-def _lift_x(x: int, parity: int) -> Optional[int]:
-    """The y of parity `parity` with (x, y) on the curve, or None if x has
-    no point (x^3 + ax + b a non-residue). OpenSSL's point decompression;
-    x must be below the field prime."""
-    try:
-        point = EllipticCurvePublicKey.from_encoded_point(
-            _CURVE, bytes([2 | parity]) + x.to_bytes(32, "big")
-        )
-    except ValueError:
-        return None
-    return point.public_numbers().y
 
 
 def decode_element(data: bytes) -> GroupElement:
-    """Decode a compressed element, enforcing membership; identity refused."""
+    """Decode a compressed element, enforcing membership; identity refused.
+    y is rhs^((p+1)/4) for rhs = x^3 + ax + b, and x has no point when its
+    square is not rhs."""
     if len(data) != ELEMENT_LEN:
         raise InvalidElement("element encoding must be 33 bytes")
     if data[0] not in (2, 3):
@@ -304,9 +301,12 @@ def decode_element(data: bytes) -> GroupElement:
     x = int.from_bytes(data[1:], "big")
     if x >= _P:
         raise InvalidElement("x out of field range")
-    y = _lift_x(x, data[0] & 1)
-    if y is None:
+    rhs = (x * x * x + _A * x + _B) % _P
+    y = _field_pow(rhs, _SQRT_EXPONENT)
+    if y * y % _P != rhs:
         raise InvalidElement("x has no point on the curve")
+    if y & 1 != data[0] & 1:
+        y = _P - y
     return GroupElement(x, y)
 
 
@@ -328,7 +328,8 @@ def random_scalar() -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Scalar multiplication: OpenSSL 3's EC_POINT_mul through ctypes.
+# Native arithmetic: OpenSSL 3's EC_POINT_mul and BN_mod_exp_mont_consttime
+# through ctypes.
 # ---------------------------------------------------------------------------
 
 _LIBCRYPTO = "libcrypto.so.3"
@@ -368,6 +369,15 @@ _EC_POINT_mul = _bind("EC_POINT_mul", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr
 _BN_bin2bn = _bind("BN_bin2bn", _ptr, ctypes.c_char_p, ctypes.c_int, _ptr)
 _BN_set_flags = _bind("BN_set_flags", None, _ptr, ctypes.c_int)
 _BN_clear_free = _bind("BN_clear_free", None, _ptr)
+_BN_new = _bind("BN_new", _ptr)
+_BN_bn2binpad = _bind("BN_bn2binpad", ctypes.c_int, _ptr, ctypes.c_char_p, ctypes.c_int)
+_BN_CTX_new = _bind("BN_CTX_new", _ptr)
+_BN_CTX_free = _bind("BN_CTX_free", None, _ptr)
+_BN_MONT_CTX_new = _bind("BN_MONT_CTX_new", _ptr)
+_BN_MONT_CTX_set = _bind("BN_MONT_CTX_set", ctypes.c_int, _ptr, _ptr, _ptr)
+_BN_mod_exp_mont_consttime = _bind(
+    "BN_mod_exp_mont_consttime", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr
+)
 
 _NID_X9_62_PRIME256V1 = 415
 _POINT_CONVERSION_UNCOMPRESSED = 4
@@ -377,6 +387,52 @@ _OCTETS_LEN = 65  # 0x04 || x || y
 _GROUP = _EC_GROUP_new_by_curve_name(_NID_X9_62_PRIME256V1)
 if not _GROUP:
     raise ImportError(f"{_LIBCRYPTO} has no P-256 group")
+
+
+def _montgomery(modulus: int) -> tuple[int, int]:
+    """An odd prime modulus as a BIGNUM and its BN_MONT_CTX. Built once
+    at import and never freed; `_field_pow` only reads them."""
+    m = _BN_bin2bn(modulus.to_bytes(32, "big"), 32, None)
+    mont = _BN_MONT_CTX_new()
+    ctx = _BN_CTX_new()
+    try:
+        if not (m and mont and ctx and _BN_MONT_CTX_set(mont, m, ctx)):
+            raise ImportError(f"{_LIBCRYPTO} could not set up Montgomery arithmetic")
+    finally:
+        _BN_CTX_free(ctx)
+    return (m, mont)
+
+
+_FIELD = _montgomery(_P)
+_ORDER = _montgomery(GROUP_ORDER)
+
+
+def _field_pow(x: int, e: int, field: tuple[int, int] = _FIELD) -> int:
+    """x^e mod p (or mod the group order, given `_ORDER`) for 0 <= x, e
+    below 2^256: one BN_mod_exp_mont_consttime, with x flagged
+    BN_FLG_CONSTTIME and cleared when freed. Each call has its own BN_CTX
+    and only reads the shared Montgomery context, so threads may
+    exponentiate at once while ctypes releases the GIL."""
+    m, mont = field
+    ctx = _BN_CTX_new()
+    base = _BN_bin2bn(x.to_bytes(32, "big"), 32, None)
+    exponent = _BN_bin2bn(e.to_bytes(32, "big"), 32, None)
+    result = _BN_new()
+    try:
+        if not (ctx and base and exponent and result):
+            raise CryptoError("BIGNUM allocation failed")
+        _BN_set_flags(base, _BN_FLG_CONSTTIME)
+        if not _BN_mod_exp_mont_consttime(result, base, exponent, m, ctx, mont):
+            raise CryptoError("BN_mod_exp_mont_consttime failed")
+        out = ctypes.create_string_buffer(32)
+        if _BN_bn2binpad(result, out, 32) != 32:
+            raise CryptoError("BN_bn2binpad failed")
+        return int.from_bytes(out.raw, "big")
+    finally:
+        _BN_clear_free(base)
+        _BN_clear_free(exponent)
+        _BN_clear_free(result)
+        _BN_CTX_free(ctx)
 
 
 def _point_mul(k: int, b: Optional[GroupElement]) -> bytes:
@@ -476,10 +532,11 @@ def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
 
 
 def scalar_invert(s: Scalar) -> Scalar:
-    """Multiplicative inverse mod the group order; zero is refused."""
+    """Multiplicative inverse mod the group order, s^(n-2) in constant
+    time (`_field_pow`); zero is refused."""
     if s.value == 0:
         raise InvalidScalar("zero has no inverse")
-    return Scalar(pow(s.value, -1, GROUP_ORDER))
+    return Scalar(_field_pow(s.value, GROUP_ORDER - 2, _ORDER))
 
 
 def scalar_from_digest(d: bytes) -> Scalar:
@@ -513,37 +570,74 @@ def hash_parts(label: Label, parts: Sequence[bytes]) -> bytes:
     return _digest(_SHA256, _frame(label, parts))
 
 
-# Simplified SWU map for P-256 (RFC 9380 section 6.6.2, Z = -10). Its
-# constants: -B/A, and x1 = B/(Z*A) for the inputs with tv = 0.
+# Simplified SWU map for P-256 (RFC 9380 section 6.6.2, Z = -10), in the
+# straight-line form of its appendix F.2 with sqrt_ratio for p = 3 mod 4:
+# C1 = (p-3)/4 and C2 = sqrt(-Z).
 _Z = _P - 10
-_MINUS_B_OVER_A = -_B * pow(_A, -1, _P) % _P
-_X1_EXCEPTIONAL = _B * pow(_Z * _A, -1, _P) % _P
+_C1 = (_P - 3) // 4
+_C2 = pow(10, _SQRT_EXPONENT, _P)
 
 
-def _sswu(u: int) -> tuple[int, int]:
-    """x1 = -B/A * (1 + 1/tv) if it has a point, else x2 = Z*u^2*x1, which
-    then always has one; y takes the parity of u."""
+def _sswu(u: int) -> tuple[int, int, int]:
+    """The map of u as projective (X, Y, Z): x = X/Z, y = Y/Z. Both
+    candidates x1 and x2 = Z*u^2*x1 and both square roots are computed,
+    with one exponentiation; each CMOV(a, b, c) of the RFC is `(a, b)[c]`,
+    an index rather than a branch. y takes the parity of u."""
     p = _P
-    zu2 = _Z * u * u % p
-    tv = (zu2 * zu2 + zu2) % p
-    x1 = _MINUS_B_OVER_A * (1 + pow(tv, -1, p)) % p if tv else _X1_EXCEPTIONAL
-    parity = u & 1
-    y = _lift_x(x1, parity)
-    if y is not None:
-        return (x1, y)
-    x2 = zu2 * x1 % p
-    return (x2, _lift_x(x2, parity))
+    tv1 = _Z * u * u % p
+    tv2 = (tv1 * tv1 + tv1) % p
+    tv3 = _B * (tv2 + 1) % p
+    tv4 = _A * (_Z, p - tv2)[tv2 != 0] % p  # x1 = tv3/tv4
+    tv6 = tv4 * tv4 % p
+    v = tv6 * tv4 % p  # gx1 = num/v
+    num = ((tv3 * tv3 + _A * tv6) * tv3 + _B * v) % p
+    # sqrt_ratio(num, v): y1 = sqrt(num/v) if that is a square, else
+    # sqrt(Z*num/v).
+    uv = num * v % p
+    y1 = _field_pow(v * v % p * uv % p, _C1) * uv % p
+    is_square = y1 * y1 % p * v % p == num
+    y1 = (y1 * _C2 % p, y1)[is_square]
+    x = (tv1 * tv3 % p, tv3)[is_square]
+    y = (tv1 * u % p * y1 % p, y1)[is_square]
+    y = (p - y, y)[(u & 1) == (y & 1)]
+    return (x, y * tv4 % p, tv4)
+
+
+def _add_complete(
+    x1: int, y1: int, z1: int, x2: int, y2: int, z2: int
+) -> tuple[int, int, int]:
+    """Projective sum on a curve with a = -3, with no exceptional case
+    (the identity is Z = 0): Renes, Costello and Batina, EUROCRYPT 2016,
+    Algorithm 4, with its runs of additions folded."""
+    p, b = _P, _B
+    t0 = x1 * x2 % p
+    t1 = y1 * y2 % p
+    t2 = z1 * z2 % p
+    t3 = ((x1 + y1) * (x2 + y2) - t0 - t1) % p
+    t4 = ((y1 + z1) * (y2 + z2) - t1 - t2) % p
+    y3 = ((x1 + z1) * (x2 + z2) - t0 - t2) % p
+    x3 = 3 * (y3 - b * t2) % p
+    z3 = t1 - x3
+    x3 = t1 + x3
+    t2 = 3 * t2
+    y3 = 3 * (b * y3 - t2 - t0) % p
+    t0 = 3 * t0 - t2
+    return ((x3 * t3 - t4 * y3) % p, (x3 * z3 + t0 * y3) % p, (z3 * t4 + t3 * t0) % p)
 
 
 def hash_to_group(label: Label, parts: Sequence[bytes]) -> GroupElement:
-    """Map labeled input to a group element (uniform two-point SWU map)."""
+    """Map labeled input to a group element (uniform two-point SWU map).
+    The sum of the two maps is made affine with one Fermat inversion."""
     framed = _frame(label, parts)
     us = []
     for i in (1, 2):
         raw = _digest(_SHA512, b"hash-to-group" + bytes([i]) + framed)
         us.append(int.from_bytes(raw[:48], "big") % _P)
-    x, y = _add(*_sswu(us[0]), *_sswu(us[1]))
-    return GroupElement(x, y)
+    x, y, z = _add_complete(*_sswu(us[0]), *_sswu(us[1]))
+    if not z:
+        return IDENTITY
+    z_inv = _field_pow(z, _P - 2)
+    return GroupElement(x * z_inv % _P, y * z_inv % _P)
 
 
 def _hmac(key: bytes, msg: bytes) -> HMAC:

@@ -6,10 +6,13 @@ random inputs. The latter compares two OpenSSL builds: the system
 libcrypto that `crypto` multiplies with, and the one `cryptography` ships.
 """
 
+import gc
 import hashlib
 import hmac
+import math
 import os
 import random
+import statistics
 import sys
 import threading
 import time
@@ -87,6 +90,20 @@ def test_scalar_invert_identities():
     assert crypto.scalar_invert(two).value == (crypto.GROUP_ORDER + 1) // 2
     with pytest.raises(InvalidScalar):
         crypto.scalar_invert(crypto.Scalar(0))
+
+
+def test_field_pow_matches_python_pow(seeded):
+    for modulus, field in ((P256_P, crypto._FIELD), (P256_N, crypto._ORDER)):
+        xs = [0, 1, 2, modulus - 1] + [
+            int.from_bytes(crypto.random_bytes(32), "big") % modulus for _ in range(100)
+        ]
+        es = [0, 1, 2, (modulus + 1) // 4, modulus - 2, modulus - 1]
+        for i, x in enumerate(xs):
+            for e in es + [int.from_bytes(crypto.random_bytes(32), "big") % modulus]:
+                assert crypto._field_pow(x, e, field) == pow(x, e, modulus), (i, e)
+        for x in xs[1:]:
+            assert crypto._field_pow(x, modulus - 2, field) == pow(x, -1, modulus)
+    assert crypto._field_pow(7, 5) == pow(7, 5, P256_P)  # mod p by default
 
 
 def test_scalar_invert_round_trip_on_points():
@@ -343,13 +360,23 @@ def test_group_operations_match_affine_reference(seeded):
 
 
 def test_multiplications_agree_across_threads(seeded):
-    # ctypes releases the GIL around EC_POINT_mul, so threads multiply at
-    # once; any scratch state they shared would show as a wrong result.
+    # ctypes releases the GIL around EC_POINT_mul and
+    # BN_mod_exp_mont_consttime, so threads multiply and exponentiate at
+    # once; any scratch state they shared, or a write to the shared
+    # Montgomery contexts, would show as a wrong result.
     cases = [(crypto.base_exp(crypto.random_scalar()), crypto.random_scalar()) for _ in range(8)]
 
     def results():
         return [
-            (crypto.exp(b, e), crypto.dh_x(b, e), crypto.base_exp(e)) for b, e in cases
+            (
+                crypto.exp(b, e),
+                crypto.dh_x(b, e),
+                crypto.base_exp(e),
+                crypto.decode_element(b.encode()),
+                crypto.hash_to_group("threads", [e.encode()]),
+                crypto.scalar_invert(e),
+            )
+            for b, e in cases
         ]
 
     serial = results()
@@ -458,18 +485,30 @@ def curve_rhs(x):
     return (x * x * x + P256_A * x + P256_B) % P256_P
 
 
+def affine(x, y, z):
+    """The affine point of projective (x : y : z); None for z = 0."""
+    if z % P256_P == 0:
+        return None
+    z_inv = pow(z, -1, P256_P)
+    return (x * z_inv % P256_P, y * z_inv % P256_P)
+
+
 def test_sswu_matches_reference(seeded):
     root = pow(pow(10, -1, P256_P), (P256_P + 1) // 4, P256_P)
     assert root * root % P256_P == pow(10, -1, P256_P)  # 1/10 is a square
-    # u = 0 and u = +-sqrt(1/10) are the inputs with tv = 0.
-    edges = [0, root, P256_P - root, 1, P256_P - 1]
+    # The inputs with tv = 0: u = 0, and u = +-1/sqrt(10), where Z*u^2 = -1.
+    tv_zero = [0, root, P256_P - root]
+    for u in tv_zero:
+        zu2 = P256_Z * u * u % P256_P
+        assert (zu2 * zu2 + zu2) % P256_P == 0
+    edges = tv_zero + [1, P256_P - 1]
     us = edges + [
         int.from_bytes(crypto.random_bytes(48), "big") % P256_P for _ in range(2000)
     ]
     branches = set()
     for u in us:
         (x, y), used_x2 = reference_sswu(u)
-        assert crypto._sswu(u) == (x, y), u
+        assert affine(*crypto._sswu(u)) == (x, y), u
         assert y & 1 == u & 1
         assert y * y % P256_P == curve_rhs(x)
         branches.add(used_x2)
@@ -477,17 +516,20 @@ def test_sswu_matches_reference(seeded):
 
 
 def test_lift_x_matches_euler_criterion(seeded):
+    # decode_element's square root lifts x to the y of the prefix's parity.
     xs = [int.from_bytes(off_curve_x(), "big"), P256_G[0], 0, P256_P - 1]
     xs += [int.from_bytes(crypto.random_bytes(32), "big") % P256_P for _ in range(300)]
     lifted = 0
     for x in xs:
         residue = pow(curve_rhs(x), (P256_P - 1) // 2, P256_P) == 1
         for parity in (0, 1):
-            y = crypto._lift_x(x, parity)
+            encoding = bytes([2 | parity]) + x.to_bytes(32, "big")
             if not residue:
-                assert y is None, x
+                with pytest.raises(InvalidElement):
+                    crypto.decode_element(encoding)
                 continue
-            assert y is not None and y & 1 == parity
+            y = crypto.decode_element(encoding).y
+            assert y & 1 == parity
             assert y * y % P256_P == curve_rhs(x)
             lifted += 1
     assert 100 < lifted < 2 * len(xs) - 100
@@ -505,6 +547,70 @@ def test_hash_to_group_is_sum_of_reference_maps(label, parts):
     assert not point.is_identity
     assert point.y * point.y % P256_P == curve_rhs(point.x)
     assert (point.x, point.y) == crypto._add(*maps[0], *maps[1])
+
+
+def test_complete_addition_matches_affine_reference(seeded):
+    # Doubling, a point plus its inverse, and the identity (z = 0) on either
+    # side need no special case, in any projective scaling.
+    points = [reference_mult(crypto.random_scalar().value, P256_G) for _ in range(5)]
+    points.append(P256_G)
+
+    def projective(point):
+        if point is None:
+            return (0, 1, 0)
+        scale = 1 + int.from_bytes(crypto.random_bytes(32), "big") % (P256_P - 1)
+        return (point[0] * scale % P256_P, point[1] * scale % P256_P, scale)
+
+    pairs = [(a, b) for a in points for b in points]
+    pairs += [(a, (a[0], P256_P - a[1])) for a in points]
+    pairs += [(a, None) for a in points] + [(None, a) for a in points] + [(None, None)]
+    for a, b in pairs:
+        assert affine(*crypto._add_complete(*projective(a), *projective(b))) == reference_add(a, b)
+
+
+def welch_t(a, b):
+    return (statistics.fmean(a) - statistics.fmean(b)) / math.sqrt(
+        statistics.variance(a) / len(a) + statistics.variance(b) / len(b)
+    )
+
+
+def test_sswu_time_does_not_depend_on_its_branch():
+    """Dudect-style leakage test (Reparaz, Balasch and Verbauwhede, DATE
+    2017) of the simplified SWU map, which runs on a password-derived u.
+
+    The two classes are the u whose x1 has a point and the u whose x1 has
+    none, told apart by `reference_sswu`. A map that computed x2's square
+    root only in the second class would leak the class, as Dragonblood did
+    (Vanhoef and Ronen, IEEE S&P 2020). Samples of the two classes are
+    interleaved in a seeded random order, the times above the 95th
+    percentile are cropped, and Welch's t must stay below 4.5 in absolute
+    value. This times the whole call from Python. It cannot show whether
+    BN_mod_exp_mont_consttime, or Python's big-integer multiply, is itself
+    constant-time.
+    """
+    rng = random.Random(9380)
+    pools = ([], [])
+    while min(map(len, pools)) < 500:
+        u = rng.randrange(P256_P)
+        pools[reference_sswu(u)[1]].append(u)
+    inputs = []
+    for _ in range(20_000):
+        branch = rng.getrandbits(1)
+        inputs.append((branch, rng.choice(pools[branch])))
+    sswu, clock = crypto._sswu, time.perf_counter_ns
+    samples = ([], [])
+    gc.disable()
+    try:
+        for branch, u in inputs:
+            start = clock()
+            sswu(u)
+            samples[branch].append(clock() - start)
+    finally:
+        gc.enable()
+    cutoff = sorted(samples[0] + samples[1])[int(0.95 * len(inputs))]
+    cropped = [[t for t in times if t <= cutoff] for times in samples]
+    t = welch_t(*cropped)
+    assert abs(t) < 4.5, f"Welch t = {t:.1f} between the x1 and x2 classes"
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +651,8 @@ def test_hashing_and_prf_match_the_stdlib_oracle():
             for i in (1, 2)
         ]
         point = crypto.hash_to_group(label, parts)
-        assert (point.x, point.y) == crypto._add(*crypto._sswu(us[0]), *crypto._sswu(us[1]))
+        maps = [affine(*crypto._sswu(u)) for u in us]
+        assert (point.x, point.y) == crypto._add(*maps[0], *maps[1])
 
         key, msg = rng.randbytes(32), rng.randbytes(rng.randrange(400))
         tag = crypto.prf(key, msg)
