@@ -10,10 +10,12 @@ Key schedule (both endpoints; FORMATS.md, "Key schedule"): the HMQV secret
 is sigma = (peer_eph * peer_static^e)^(own_eph + e'*own_static), and
 session_key = PRF(H("hmqv-key", x(sigma)), 0x00), where x(sigma) is the
 32-byte x-coordinate that one OpenSSL multiplication returns (`crypto.dh_x`), so
-sigma itself never reaches Python arithmetic. Key confirmation is a PRF
-tag over a role label plus the flow transcript, so the two directions can
-never be confused and any tampering with a flow shows up as a tag mismatch
-rather than a silently wrong key.
+sigma itself never reaches Python arithmetic. The client here and the
+contract each derive it with `crypto.hmqv_key`, from the digests e, e'
+that `_hmqv_digests` gives the server's phase 1 and the client's finish.
+Key confirmation is a PRF tag over a role label plus the flow transcript,
+so the two directions can never be confused and any tampering with a flow
+shows up as a tag mismatch rather than a silently wrong key.
 """
 
 from __future__ import annotations
@@ -128,6 +130,18 @@ class ClientSession:
         return self.blind.encode() + self.eph_priv.encode() + self.eph_pub.encode()
 
 
+def _hmqv_digests(
+    username: bytes, server_id: bytes,
+    client_eph_pub: crypto.GroupElement, server_eph_pub: crypto.GroupElement,
+) -> Tuple[bytes, bytes]:
+    """The exponent-combining digests (e_u, e_s) of a login (FORMATS.md, "Key
+    schedule"): the server sends them to the contract, the client recomputes them."""
+    return (
+        crypto.hash_parts("hmqv-eu", [server_eph_pub.encode(), username]),
+        crypto.hash_parts("hmqv-es", [client_eph_pub.encode(), server_id]),
+    )
+
+
 def client_auth_init(
     username: Union[str, bytes], password: Union[str, bytes]
 ) -> Tuple[ClientSession, UserAuthInit]:
@@ -165,25 +179,15 @@ def client_auth_finish(
     static_priv, _, server_static_pub = decode_envelope_plaintext(envelope_pt)
     del envelope_key, envelope_pt
 
-    e_client = crypto.hash_parts(
-        "hmqv-eu", [msg.server_eph_pub.encode(), session.username]
+    e_client, e_server = _hmqv_digests(
+        session.username, server_id, session.eph_pub, msg.server_eph_pub
     )
-    e_server = crypto.hash_parts("hmqv-es", [session.eph_pub.encode(), server_id])
-    combined_base = crypto.mul(
-        msg.server_eph_pub,
-        crypto.exp(
-            crypto.decode_element(server_static_pub), crypto.scalar_from_digest(e_server)
-        ),
+    session_key = crypto.hmqv_key(
+        msg.server_eph_pub, crypto.decode_element(server_static_pub), e_server,
+        session.eph_priv, static_priv, e_client,
     )
-    exponent = crypto.scalar_add(
-        session.eph_priv,
-        crypto.scalar_mul(crypto.scalar_from_digest(e_client), static_priv),
-    )
-    shared = crypto.dh_x(combined_base, exponent)
-    raw_key = crypto.hash_parts("hmqv-key", [shared])
-    session_key = crypto.prf(raw_key, b"\x00")
 
-    del static_priv, exponent, shared, raw_key
+    del static_priv
     session.finished = True
     session.blind = session.eph_priv = None  # type: ignore[assignment]
     return session_key
@@ -242,8 +246,7 @@ def server_auth_phase1(
     server_id = _as_bytes(server_id)
     eph_priv = crypto.random_scalar()
     eph_pub = crypto.base_exp(eph_priv)
-    e_client = crypto.hash_parts("hmqv-eu", [eph_pub.encode(), msg.username])
-    e_server = crypto.hash_parts("hmqv-es", [msg.client_eph_pub.encode(), server_id])
+    e_client, e_server = _hmqv_digests(msg.username, server_id, msg.client_eph_pub, eph_pub)
     reply_key = crypto.box_private_key(crypto.random_bytes(crypto.BOX_SECRET_LEN))
     request = GpmAuthRequest(
         username=msg.username,

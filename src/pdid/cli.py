@@ -374,10 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         crypto.set_insecure_seed(args.seed)
     try:
         result = _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PdidError as exc:

@@ -6,21 +6,22 @@ transaction whose payload is encrypted to that key, plus a ledger inclusion
 proof. Nothing is processed unless the proof verifies, so every password
 guess an attacker wants evaluated must first be placed on the public ledger.
 
-The two rate-limited methods, `auth_pdid` and `update_pdid`, decide their
-refusals in this order: ledger inclusion, transaction kind, box decryption,
-the request's tag and username, unknown user, full rate window. None of
-these decodes a group element, so a guess over the cap costs no point
-decompression. Only then is the whole request decoded, then the stored
-record, then (for `auth_pdid`) the reply box's key exchange is run; a
-malformed request, a corrupt record or a reply key with no box to it is
-refused there, before any charge. Every fault in a transaction body is
-MalformedRecord: a box that does not open, a field that does not parse, a
-point or scalar that fails its check, and a low-order reply key alike. So
-a request malformed past its username, or one against a corrupt record, is
-refused with RateLimited when the username's window is full, and with
-UnknownUser when no record is stored for the username. One fault only
-group work can find, an HMQV secret that is the identity, is refused as
-MalformedRecord after the charge.
+The two rate-limited methods, `auth_pdid` and `update_pdid`, share one
+admission step (`_admit`) that refuses in this order: ledger inclusion,
+transaction kind, box decryption, the request's tag and username, unknown
+user, full rate window. None of these decodes a group element, so a guess
+over the cap costs no point decompression. Only then is the whole request
+decoded, then the stored record, then (for `auth_pdid`) the reply box's key
+exchange is run; a malformed request, a corrupt record or a reply key with
+no box to it is refused there, before any charge. Every fault in a
+transaction body is MalformedRecord: a box that does not open, a field that
+does not parse, a point or scalar that fails its check, and a low-order
+reply key alike. So a request malformed past its username, or one against a
+corrupt record, is refused with RateLimited when the username's window is
+full, and with UnknownUser when no record is stored for the username. One
+fault only group work can find, an HMQV secret that is the identity
+(`crypto.hmqv_key`, which the client shares), is refused as MalformedRecord
+after the charge.
 
 Methods are deterministic: given identical (state, transaction, proof) they
 produce identical outputs and state. The auth reply ciphertext is
@@ -30,11 +31,11 @@ ever leave the contract are box ciphertexts addressed to a reply key and
 error codes; plaintext metadata never crosses the boundary.
 
 State can be sealed to disk under a symmetric key (the stand-in for an
-enclave sealing key) and restored later, preserving users and the
-rate-limit window. Each user's metadata is held as its encoded record
-(FORMATS.md, tag 7) and decoded only by the method that uses it, and only
-in the fields that method uses, so a restore touches no record beyond its
-tag and length.
+enclave sealing key) and restored later, preserving users and the rate
+windows, two maps with one codec (`_pack_map`). Each user's metadata is
+held as its encoded record (FORMATS.md, tag 7) and decoded only by the
+method that uses it, and only in the fields that method uses, so a restore
+touches no record beyond its tag and length.
 """
 
 from __future__ import annotations
@@ -87,6 +88,44 @@ def _request(plaintext: bytes, cls: type) -> Any:
         return decode_expected(plaintext, cls)
     except CryptoError as exc:
         raise MalformedRecord(f"bad field in {cls.__name__}") from exc
+
+
+def _pack_map(entries: Dict[bytes, _Decoded], encode: Callable[[_Decoded], bytes]) -> bytes:
+    """A map of the sealed state (FORMATS.md, tag 9): a u32 count, then
+    each key and its encoded value as fields, keys sorted."""
+    parts = [struct.pack(">I", len(entries))]
+    for key in sorted(entries):
+        parts += (pack_field(key), pack_field(encode(entries[key])))
+    return b"".join(parts)
+
+
+def _unpack_map(blob: bytes, decode: Callable[[bytes], _Decoded]) -> Dict[bytes, _Decoded]:
+    """Parse a `_pack_map` blob, each value with `decode`."""
+    r = Reader(blob)
+    (count,) = struct.unpack(">I", r.take(4))
+    entries = {r.field(): decode(r.field()) for _ in range(count)}  # key, then value
+    r.expect_done()
+    return entries
+
+
+def _checked_record(record: bytes) -> bytes:
+    """A stored metadata record, checked in its tag and length only."""
+    if len(record) != METADATA_LEN or record[0] != MSG_METADATA:
+        raise MalformedRecord("bad metadata record")
+    return record
+
+
+def _pack_times(times: List[float]) -> bytes:
+    """A rate window: u32 n, then n big-endian doubles."""
+    return struct.pack(f">I{len(times)}d", len(times), *times)
+
+
+def _unpack_times(blob: bytes) -> List[float]:
+    r = Reader(blob)
+    (n_times,) = struct.unpack(">I", r.take(4))
+    times = list(struct.unpack(f">{n_times}d", r.take(8 * n_times)))
+    r.expect_done()
+    return times
 
 
 class GpmContract:
@@ -155,34 +194,37 @@ class GpmContract:
             raise MalformedRecord("transaction does not open under the contract key") from exc
 
     def _admit(
-        self, tx: Transaction, proof: InclusionProof, kind: TxKind, cls: type
-    ) -> Tuple[Any, float]:
-        """The refusals of a rate-limited method, decided before any group
-        element is decoded: the gate, the request's tag and username, an
-        unknown user, a full rate window. Returns the decoded request and
-        the time a charge is made at."""
+        self,
+        tx: Transaction,
+        proof: InclusionProof,
+        kind: TxKind,
+        cls: type,
+        decode: Callable[[bytes], _Decoded],
+    ) -> Tuple[Any, _Decoded, float]:
+        """The one admission step of a rate-limited method. It refuses, before
+        any group element is decoded: the gate, the request's tag and
+        username, an unknown user, a full rate window. Returns the decoded
+        request, `decode` of the user's stored record, and the charge time.
+
+        Where each decode happens: unseal checked only each record's tag and
+        length; this step reads the request's tag and username and, once
+        the rate window admits it, decodes the whole request (`_request`),
+        then the stored record with `decode`. The method charges or does
+        group work only after both, so a bad field, of the request or of
+        the record, is refused before the method changes any state."""
         plaintext = self._gate(tx, proof, kind)
         username = leading_username(plaintext, cls)
         if username not in self._users:
             raise UnknownUser("no metadata for this username")
         now = self._clock()
-        self._check_rate(username, now)
-        return _request(plaintext, cls), now
-
-    def _metadata(self, username: bytes, decode: Callable[[bytes], _Decoded]) -> _Decoded:
-        """Decode, with `decode`, the stored record of a user `_admit` let
-        through.
-
-        Where each decode happens: unseal checked only each record's tag and
-        length; `_admit` reads the request's tag and username and, once
-        the rate window admits it, decodes the whole request (`_request`);
-        the method then decodes its stored record here, and only after both
-        does it charge or do group work. So a bad field, of the request or
-        of the record, is refused before the method changes any state."""
+        if self._recent_attempts(username, now) >= self.rate_limit[0]:
+            raise RateLimited("too many recent attempts for this username")
+        msg = _request(plaintext, cls)
         try:
-            return decode(self._users[username])
+            record = decode(self._users[username])
         except CryptoError as exc:
             raise MalformedRecord("stored metadata record is corrupt") from exc
+        return msg, record, now
 
     def _recent_attempts(self, username: bytes, now: float) -> int:
         """Prune the username's window to `now` and count what is left. A
@@ -199,10 +241,6 @@ class GpmContract:
         if not times:
             del self._attempts[username]
         return len(times)
-
-    def _check_rate(self, username: bytes, now: float) -> None:
-        if self._recent_attempts(username, now) >= self.rate_limit[0]:
-            raise RateLimited("too many recent attempts for this username")
 
     def _charge(self, username: bytes, now: float) -> None:
         self._attempts.setdefault(username, []).append(now)
@@ -223,9 +261,8 @@ class GpmContract:
         cannot tell whether the password behind the blinded element is right,
         so every admitted attempt counts against the username's rate window.
         """
-        msg, now = self._admit(tx, proof, TxKind.AUTH, GpmAuthRequest)
-        oprf_key, server_static_priv, client_static_pub, envelope = self._metadata(
-            msg.username, decode_auth_metadata
+        msg, (oprf_key, server_static_priv, client_static_pub, envelope), now = self._admit(
+            tx, proof, TxKind.AUTH, GpmAuthRequest, decode_auth_metadata
         )
         entropy = crypto.hash_parts("gpm-reply", [self._keypair.secret, tx.id])
         try:
@@ -235,23 +272,13 @@ class GpmContract:
         self._charge(msg.username, now)
 
         evaluated = oprf.evaluate(msg.blinded_element, oprf_key)
-        e_client = crypto.scalar_from_digest(msg.e_client)
-        e_server = crypto.scalar_from_digest(msg.e_server)
-        # sigma = (client ephemeral * client static^e_client) ^ (eph + e_server *
-        # static); the session key hashes only x(sigma).
-        combined_base = crypto.mul(
-            msg.client_eph_pub, crypto.exp(client_static_pub, e_client)
-        )
-        exponent = crypto.scalar_add(
-            msg.server_eph_priv, crypto.scalar_mul(e_server, server_static_priv)
-        )
         try:
-            shared = crypto.dh_x(combined_base, exponent)
+            session_key = crypto.hmqv_key(
+                msg.client_eph_pub, client_static_pub, msg.e_client,
+                msg.server_eph_priv, server_static_priv, msg.e_server,
+            )
         except CryptoError as exc:
             raise MalformedRecord("the request's HMQV secret is the identity") from exc
-        raw_key = crypto.hash_parts("hmqv-key", [shared])
-        session_key = crypto.prf(raw_key, b"\x00")
-        del exponent, shared, raw_key
 
         reply = GpmAuthResponse(evaluated, envelope, session_key).encode()
         return crypto.pk_encrypt(reply_box, reply)
@@ -265,8 +292,7 @@ class GpmContract:
         the stored client key. Any failure is WrongPassword and counts as a
         guess; stored metadata is untouched.
         """
-        msg, now = self._admit(tx, proof, TxKind.UPDATE, UpdatePlaintext)
-        meta = self._metadata(msg.username, decode_metadata)
+        msg, meta, now = self._admit(tx, proof, TxKind.UPDATE, UpdatePlaintext, decode_metadata)
 
         envelope_key = oprf.oprf_eval(meta.oprf_key, msg.password)
         try:
@@ -295,22 +321,12 @@ class GpmContract:
         now = self._clock()
         for username in list(self._attempts):
             self._recent_attempts(username, now)
-        users_parts = [struct.pack(">I", len(self._users))]
-        for username in sorted(self._users):
-            users_parts.append(pack_field(username))
-            users_parts.append(pack_field(self._users[username]))
-        attempt_parts = [struct.pack(">I", len(self._attempts))]
-        for username in sorted(self._attempts):
-            times = self._attempts[username]
-            blob = struct.pack(f">I{len(times)}d", len(times), *times)
-            attempt_parts.append(pack_field(username))
-            attempt_parts.append(pack_field(blob))
         state = bytes([MSG_SEALED_STATE]) + b"".join(
             (
                 pack_field(self._keypair.secret),
                 pack_field(self._keypair.public),
-                pack_field(b"".join(users_parts)),
-                pack_field(b"".join(attempt_parts)),
+                pack_field(_pack_map(self._users, bytes)),
+                pack_field(_pack_map(self._attempts, _pack_times)),
             )
         )
         return crypto.aead_encrypt(sealing_key, state)
@@ -338,28 +354,8 @@ class GpmContract:
         if len(secret) != crypto.BOX_SECRET_LEN or len(public) != crypto.BOX_PUBLIC_LEN:
             raise MalformedRecord("bad contract keypair lengths")
 
-        users: Dict[bytes, bytes] = {}
-        ur = Reader(users_blob)
-        (count,) = struct.unpack(">I", ur.take(4))
-        for _ in range(count):
-            username = ur.field()
-            record = ur.field()
-            if len(record) != METADATA_LEN or record[0] != MSG_METADATA:
-                raise MalformedRecord("bad metadata record")
-            users[username] = record
-        ur.expect_done()
-
-        attempts: Dict[bytes, List[float]] = {}
-        ar = Reader(attempts_blob)
-        (count,) = struct.unpack(">I", ar.take(4))
-        for _ in range(count):
-            username = ar.field()
-            tr = Reader(ar.field())
-            (n_times,) = struct.unpack(">I", tr.take(4))
-            attempts[username] = list(struct.unpack(f">{n_times}d", tr.take(8 * n_times)))
-            tr.expect_done()
-        ar.expect_done()
-
+        users = _unpack_map(users_blob, _checked_record)
+        attempts = _unpack_map(attempts_blob, _unpack_times)
         return cls(
             crypto.KeyPair(secret, public),
             users,

@@ -26,7 +26,7 @@ password-derived values, for want of a native path, is multiplication and
 addition mod p or n:
 - the map's field arithmetic and the complete projective addition of its
   two points (`_sswu`, `_add_complete`);
-- `scalar_add` and `scalar_mul` on the HMQV exponents.
+- `scalar_add` and `scalar_mul` on the HMQV exponents (`hmqv_key`).
 `mul` adds public HMQV values in affine coordinates with Python's
 `pow(x, -1, p)` (`_add`): a native inversion there was measured slower.
 Symmetric and box primitives are delegated to the
@@ -662,6 +662,20 @@ def prf_verify(key: bytes, msg: bytes, tag: bytes) -> bool:
     return True
 
 
+def hmqv_key(
+    peer_eph: GroupElement, peer_static: GroupElement, e_peer: bytes,
+    own_eph: Scalar, own_static: Scalar, e_own: bytes,
+) -> bytes:
+    """One endpoint's HMQV session key (FORMATS.md, "Key schedule"):
+    PRF(H("hmqv-key", [x(sigma)]), 0x00) with sigma = (peer_eph *
+    peer_static^e_peer)^(own_eph + e_own * own_static), each digest reduced
+    by `scalar_from_digest`. An identity sigma raises CryptoError (`dh_x`)."""
+    base = mul(peer_eph, exp(peer_static, scalar_from_digest(e_peer)))
+    exponent = scalar_add(own_eph, scalar_mul(scalar_from_digest(e_own), own_static))
+    raw_key = hash_parts("hmqv-key", [dh_x(base, exponent)])
+    return prf(raw_key, b"\x00")
+
+
 # ---------------------------------------------------------------------------
 # AEAD (ChaCha20-Poly1305). Ciphertext layout: nonce || body+tag.
 # ---------------------------------------------------------------------------
@@ -748,12 +762,10 @@ def pk_box(public: bytes, entropy: Optional[bytes] = None) -> Box:
     return Box(eph_public, nonce, _box_key(eph_public, public, shared))
 
 
-def pk_encrypt(
-    public: Union[bytes, Box], plaintext: bytes, entropy: Optional[bytes] = None
-) -> bytes:
-    """Encrypt to a box public key (see `pk_box` for `entropy`) or,
-    skipping the key exchange, into a `pk_box`."""
-    box = pk_box(public, entropy) if isinstance(public, bytes) else public
+def pk_encrypt(public: Union[bytes, Box], plaintext: bytes) -> bytes:
+    """Encrypt to a box public key or, skipping the key exchange (and
+    derandomized if it was made with entropy), into a `pk_box`."""
+    box = pk_box(public) if isinstance(public, bytes) else public
     return box.eph_public + box.nonce + ChaCha20Poly1305(box.key).encrypt(
         box.nonce, plaintext, None
     )

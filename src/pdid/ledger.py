@@ -25,7 +25,7 @@ import struct
 import tempfile
 import threading
 import zlib
-from typing import Iterable, Optional
+from typing import BinaryIO, Iterable, Optional
 
 from . import crypto
 from .errors import DuplicateTransaction, LedgerError, MalformedRecord
@@ -171,7 +171,6 @@ class Ledger:
         f: int = 1,
         node_seeds: Optional[list[bytes]] = None,
         path: Optional[str] = None,
-        _fh=None,
     ) -> None:
         if n_nodes != 3 * f + 1:
             raise LedgerError("node count must equal 3f + 1")
@@ -189,7 +188,7 @@ class Ledger:
         self._seen: set[bytes] = set()
         self._lock = threading.Lock()
         self.path = path
-        self._fh = _fh
+        self._fh: Optional[BinaryIO] = None
         self._base = 0
         self._prefix_end = 0  # file offset where the record at _base starts
         self._loaded_prefix: Optional[tuple[bytearray, list[bytes]]] = None

@@ -79,15 +79,7 @@ class Reader:
         return self.take(1)[0]
 
     def field(self) -> bytes:
-        if self._pos + 2 > len(self._data):
-            raise MalformedRecord("truncated length prefix")
-        n = int.from_bytes(self._data[self._pos : self._pos + 2], "big")
-        self._pos += 2
-        if self._pos + n > len(self._data):
-            raise MalformedRecord("field overruns buffer")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        return self.take(int.from_bytes(self.take(2), "big"))
 
     def take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):

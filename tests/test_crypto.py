@@ -188,6 +188,23 @@ def test_dh_x_refuses_the_identity_base_and_the_zero_exponent():
         crypto.dh_x(crypto.base_exp(crypto.random_scalar()), crypto.Scalar(0))
 
 
+def test_hmqv_key_mirror_images_agree_with_the_integer_schedule(seeded):
+    n = crypto.GROUP_ORDER
+    for _ in range(10):
+        x, a, y, b = (crypto.random_scalar() for _ in range(4))
+        X, A, Y, B = (crypto.base_exp(s) for s in (x, a, y, b))
+        e_u, e_s = crypto.random_bytes(32), crypto.random_bytes(32)
+        client = crypto.hmqv_key(Y, B, e_s, x, a, e_u)
+        assert client == crypto.hmqv_key(X, A, e_u, y, b, e_s)
+        u, s = int.from_bytes(e_u, "little") % n, int.from_bytes(e_s, "little") % n
+        sigma = crypto.Scalar((x.value + u * a.value) * (y.value + s * b.value) % n)
+        raw_key = crypto.hash_parts("hmqv-key", [crypto.dh_x(crypto.GENERATOR, sigma)])
+        assert client == crypto.prf(raw_key, b"\x00")
+    # A peer ephemeral share of A^-e_u makes the combined base the identity.
+    with pytest.raises(CryptoError):
+        crypto.hmqv_key(crypto.exp(A, crypto.Scalar(-u % n)), A, e_u, y, b, e_s)
+
+
 def test_mul_is_group_addition():
     for _ in range(20):
         a, b = crypto.random_scalar(), crypto.random_scalar()
@@ -755,11 +772,11 @@ def test_pk_encrypt_fresh_randomness():
 def test_pk_encrypt_entropy_derandomizes():
     pair = crypto.pk_gen()
     entropy = crypto.random_bytes(32)
-    a = crypto.pk_encrypt(pair.public, b"m", entropy=entropy)
-    b = crypto.pk_encrypt(pair.public, b"m", entropy=entropy)
+    a = crypto.pk_encrypt(crypto.pk_box(pair.public, entropy), b"m")
+    b = crypto.pk_encrypt(crypto.pk_box(pair.public, entropy), b"m")
     assert a == b
     assert crypto.pk_decrypt(pair.secret, a) == b"m"
-    c = crypto.pk_encrypt(pair.public, b"m", entropy=crypto.random_bytes(32))
+    c = crypto.pk_encrypt(crypto.pk_box(pair.public, crypto.random_bytes(32)), b"m")
     assert c != a
 
 
@@ -768,9 +785,9 @@ def test_pk_encrypt_refuses_a_low_order_key():
     # gives an all-zero shared secret, which OpenSSL refuses.
     order_8 = bytes.fromhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800")
     for public in (bytes(32), order_8):
+        with pytest.raises(CryptoError):
+            crypto.pk_encrypt(public, b"m")
         for entropy in (None, crypto.random_bytes(32)):
-            with pytest.raises(CryptoError):
-                crypto.pk_encrypt(public, b"m", entropy=entropy)
             with pytest.raises(CryptoError):
                 crypto.pk_box(public, entropy)
 
@@ -780,7 +797,6 @@ def test_pk_encrypt_with_a_prepared_box():
     entropy = crypto.random_bytes(32)
     box = crypto.pk_box(pair.public, entropy)
     ct = crypto.pk_encrypt(box, b"m")
-    assert ct == crypto.pk_encrypt(pair.public, b"m", entropy=entropy)
     assert crypto.pk_decrypt(pair.secret, ct) == b"m"
 
 
