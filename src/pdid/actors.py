@@ -105,29 +105,23 @@ def client_update(
 
 
 class ClientSession:
-    """Ephemeral client state between the two authentication flows."""
+    """Ephemeral client state between the two authentication flows: the
+    first flow it sent, whose username and ephemeral share the finish
+    reads, and the two secrets behind it."""
 
-    __slots__ = ("username", "blind", "eph_priv", "eph_pub", "finished")
+    __slots__ = ("init", "blind", "eph_priv", "finished")
 
-    def __init__(
-        self,
-        username: bytes,
-        blind: crypto.Scalar,
-        eph_priv: crypto.Scalar,
-        eph_pub: crypto.GroupElement,
-        finished: bool = False,
-    ) -> None:
-        self.username = username
+    def __init__(self, init: UserAuthInit, blind: crypto.Scalar, eph_priv: crypto.Scalar) -> None:
+        self.init = init
         self.blind = blind
         self.eph_priv = eph_priv
-        self.eph_pub = eph_pub
-        self.finished = finished
+        self.finished = False
 
     def ephemeral_state_bytes(self) -> bytes:
         """Serialized ephemeral state: blind || eph_priv || eph_pub (97 B)."""
         if self.finished:
             raise StaleSession("session already finished")
-        return self.blind.encode() + self.eph_priv.encode() + self.eph_pub.encode()
+        return self.blind.encode() + self.eph_priv.encode() + self.init.client_eph_pub.encode()
 
 
 def _hmqv_digests(
@@ -149,9 +143,8 @@ def client_auth_init(
     username = _as_bytes(username)
     blinding = oprf.blind(_as_bytes(password))
     eph_priv = crypto.random_scalar()
-    eph_pub = crypto.base_exp(eph_priv)
-    session = ClientSession(username, blinding.r, eph_priv, eph_pub)
-    return session, UserAuthInit(username, blinding.alpha, eph_pub)
+    init = UserAuthInit(username, blinding.alpha, crypto.base_exp(eph_priv))
+    return ClientSession(init, blinding.r, eph_priv), init
 
 
 def client_auth_finish(
@@ -179,8 +172,9 @@ def client_auth_finish(
     static_priv, _, server_static_pub = decode_envelope_plaintext(envelope_pt)
     del envelope_key, envelope_pt
 
+    init = session.init
     e_client, e_server = _hmqv_digests(
-        session.username, server_id, session.eph_pub, msg.server_eph_pub
+        init.username, server_id, init.client_eph_pub, msg.server_eph_pub
     )
     session_key = crypto.hmqv_key(
         msg.server_eph_pub, crypto.decode_element(server_static_pub), e_server,
@@ -199,40 +193,26 @@ def client_auth_finish(
 
 
 class ServerSession:
-    """Server state between its two phases.
+    """Server state between its two phases: the auth request it sent to the
+    contract, its ephemeral share, the one-shot reply key, and, after phase
+    2, the session key.
 
-    Holds only blinded or public values plus the one-shot reply key;
-    nothing here depends on the user's password.
+    The request holds only the user's blinded flow and the server's own
+    values; nothing here depends on the user's password.
     """
 
-    __slots__ = (
-        "server_id", "username", "blinded_element", "client_eph_pub", "eph_priv",
-        "eph_pub", "e_client", "e_server", "reply_key", "session_key",
-    )
+    __slots__ = ("request", "eph_pub", "reply_key", "session_key")
 
     def __init__(
         self,
-        server_id: bytes,
-        username: bytes,
-        blinded_element: crypto.GroupElement,
-        client_eph_pub: crypto.GroupElement,
-        eph_priv: crypto.Scalar,
+        request: GpmAuthRequest,
         eph_pub: crypto.GroupElement,
-        e_client: bytes,
-        e_server: bytes,
         reply_key: Optional[crypto.X25519PrivateKey],
-        session_key: Optional[bytes] = None,
     ) -> None:
-        self.server_id = server_id
-        self.username = username
-        self.blinded_element = blinded_element
-        self.client_eph_pub = client_eph_pub
-        self.eph_priv = eph_priv
+        self.request = request
         self.eph_pub = eph_pub
-        self.e_client = e_client
-        self.e_server = e_server
         self.reply_key = reply_key
-        self.session_key = session_key
+        self.session_key: Optional[bytes] = None
 
 
 def server_auth_phase1(
@@ -258,18 +238,7 @@ def server_auth_phase1(
         reply_pk=reply_key.public_key().public_bytes_raw(),
     )
     tx = Transaction(TxKind.AUTH, crypto.pk_encrypt(gpm_public, request.encode()))
-    session = ServerSession(
-        server_id=server_id,
-        username=msg.username,
-        blinded_element=msg.blinded_element,
-        client_eph_pub=msg.client_eph_pub,
-        eph_priv=eph_priv,
-        eph_pub=eph_pub,
-        e_client=e_client,
-        e_server=e_server,
-        reply_key=reply_key,
-    )
-    return session, tx
+    return ServerSession(request, eph_pub, reply_key), tx
 
 
 def server_auth_phase2(

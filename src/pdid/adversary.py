@@ -111,11 +111,11 @@ def capture_server_view(
         "server_id": server_id,
         "blinded_element": init.blinded_element.encode(),
         "client_eph_pub": init.client_eph_pub.encode(),
-        "server_eph_priv": server.eph_priv.encode(),
+        "server_eph_priv": server.request.server_eph_priv.encode(),
         "server_eph_pub": server.eph_pub.encode(),
-        "e_client": server.e_client,
-        "e_server": server.e_server,
-        "reply_public": tx.payload[: crypto.BOX_PUBLIC_LEN],  # eph part of payload
+        "e_client": server.request.e_client,
+        "e_server": server.request.e_server,
+        "reply_public": server.request.reply_pk,
         "reply_secret": reply_secret,
         "auth_tx_payload": tx.payload,
         "reply_ciphertext": reply_ct,

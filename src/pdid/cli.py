@@ -26,7 +26,7 @@ from typing import List, NoReturn, Optional
 
 from . import __version__, crypto
 from .actors import run_login, run_register, run_update
-from .contract import GpmContract
+from .contract import DEFAULT_RATE_LIMIT, GpmContract
 from .errors import AuthRejected, PdidError
 from .ledger import Ledger, replace_file
 
@@ -61,8 +61,8 @@ _CONFIG_KEYS = {
     "sealing_key_path": ("sealing.key", str, "a string"),
     "n_nodes": (4, int, "an integer"),
     "f": (1, int, "an integer"),
-    "rate_limit_attempts": (10, int, "an integer"),
-    "rate_limit_window_secs": (60.0, (int, float), "a number"),
+    "rate_limit_attempts": (DEFAULT_RATE_LIMIT[0], int, "an integer"),
+    "rate_limit_window_secs": (DEFAULT_RATE_LIMIT[1], (int, float), "a number"),
 }
 
 

@@ -12,9 +12,9 @@ When opened with a path the ledger persists as a header (node seeds, shape)
 followed by length-prefixed transaction records, and reloads at startup.
 `close` also writes a derived index beside the file (`<path>.idx`, FORMATS.md):
 the ids of the records it covers and where the last of them sits. A reopen
-that finds a valid index parses only that last record and the ones after
-it, so its cost does not grow with the log; without one it scans the whole
-file, as the index can always be deleted.
+that finds a valid index parses only that last record, to check the index,
+and the ones after it, so its cost does not grow with the log; without one
+it scans the whole file, as the index can always be deleted.
 """
 
 from __future__ import annotations
@@ -156,13 +156,12 @@ class Ledger:
     parallel columns, payloads and kind bytes, with no object per record;
     `transaction_at` and `snapshot` rebuild Transaction objects on demand.
 
-    A ledger reopened through its index holds in the columns only the
-    records from seq `_base` on; the records before it stay on disk until a
-    read of one loads them all (`_prefix`), and until then their ids, read
-    from the index into `_index_ids`, stand in for their payloads in the
-    duplicate check. A file-backed ledger keeps the ids of the records after
-    the index's in `_ids`, so that `close` can write the next index without
-    growing the large column.
+    A file-backed ledger keeps the id of every record in one more column,
+    `_ids`, which `close` writes as the next index. A ledger reopened
+    through its index holds in the other columns only the records after
+    the `_base` records the index covers; those stay on disk until a read
+    of one loads them all (`_prefix`), and until then their ids, read from
+    the index, stand in for their payloads in the duplicate check.
     """
 
     def __init__(
@@ -189,10 +188,9 @@ class Ledger:
         self._lock = threading.Lock()
         self.path = path
         self._fh: Optional[BinaryIO] = None
-        self._base = 0
+        self._base = 0  # records covered by the index read at open
         self._prefix_end = 0  # file offset where the record at _base starts
         self._loaded_prefix: Optional[tuple[bytearray, list[bytes]]] = None
-        self._index_ids = bytearray()
         self._ids = bytearray()
         self._header_digest = b""
         self._last_start = 0  # file offset of the last record
@@ -239,27 +237,27 @@ class Ledger:
             indexed = ledger._read_index(fh)
             if indexed is None:
                 start = len(header)
-                fh.seek(start)
-                blob = fh.read()
             else:
-                start, ledger._index_ids, blob = indexed
-                ledger._base = len(ledger._index_ids) // _ID_LEN - 1
+                ledger._ids, ledger._last_start, start = indexed
+                ledger._base = len(ledger._ids) // _ID_LEN
                 ledger._prefix_end = start
+            fh.seek(start)
+            blob = fh.read()
         payloads = ledger._payloads
         last = _scan(blob, 0, ledger._kinds, payloads)
-        # Ids for the records the index does not cover: all but its last one.
-        for payload in payloads[0 if indexed is None else 1 :]:
+        for payload in payloads:
             ledger._ids += _tx_id(payload)
         ledger._seen.update(payloads)
-        ledger._last_start = start + last
+        if last >= 0:
+            ledger._last_start = start + last
         ledger._end = start + len(blob)
         ledger._fh = open(path, "ab")
         return ledger
 
-    def _read_index(self, fh) -> Optional[tuple[int, bytearray, bytes]]:
-        """From a valid index: the offset of the last indexed record, the
-        id column, and the log from that offset on. None when the index is
-        missing or does not check out against the open log `fh`."""
+    def _read_index(self, fh) -> Optional[tuple[bytearray, int, int]]:
+        """From a valid index: the id column, the offset of the last indexed
+        record, and the covered end. None when the index is missing or does
+        not check out against the open log `fh`."""
         try:
             with open(self.path + ".idx", "rb") as ix:
                 ids = bytearray(os.fstat(ix.fileno()).st_size)
@@ -282,17 +280,19 @@ class Ledger:
             or not self._header_len <= start < covered <= size
         ):
             return None
+        # The last indexed record ends at the covered end, parses, and its
+        # payload hashes to the last id.
         fh.seek(start)
-        blob = fh.read()
-        # The last indexed record ends at the covered end and its payload,
-        # after the u32 length, tag, kind field and u16 length, hashes to
-        # the last id; _scan then parses it with the tail.
-        covered -= start
-        if 4 + int.from_bytes(blob[:4], "big") != covered:
+        record = fh.read(covered - start)
+        if 4 + int.from_bytes(record[:4], "big") != len(record):
             return None
-        if _tx_id(blob[10:covered]) != ids[-_ID_LEN:]:
+        try:
+            payload = _parse_record(record, 4, len(record))[1]
+        except MalformedRecord:
             return None
-        return start, ids, blob
+        if _tx_id(payload) != ids[-_ID_LEN:]:
+            return None
+        return ids, start, covered
 
     def close(self) -> None:
         if self._fh is not None:
@@ -312,11 +312,11 @@ class Ledger:
         header = _INDEX_HEADER.pack(
             _INDEX_MAGIC, len(self), self._last_start, self._end, self._header_digest
         )
-        crc = zlib.crc32(self._ids, zlib.crc32(self._index_ids, zlib.crc32(header)))
+        crc = zlib.crc32(self._ids, zlib.crc32(header))
         with contextlib.suppress(OSError):
             replace_file(
                 self.path + ".idx",
-                (header, self._index_ids, self._ids, crc.to_bytes(_CRC_LEN, "big")),
+                (header, self._ids, crc.to_bytes(_CRC_LEN, "big")),
             )
 
     # -- core operations ---------------------------------------------------
@@ -347,11 +347,11 @@ class Ledger:
 
     def _indexed(self, tx_id: bytes) -> bool:
         """Whether tx_id is among the ids read from the index: a search of
-        the column at 32-byte alignment."""
-        ids = self._index_ids
-        pos = ids.find(tx_id)
+        the column's first `_base` ids at 32-byte alignment."""
+        ids, end = self._ids, _ID_LEN * self._base
+        pos = ids.find(tx_id, 0, end)
         while pos > 0 and pos % _ID_LEN:
-            pos = ids.find(tx_id, pos + 1)
+            pos = ids.find(tx_id, pos + 1, end)
         return pos >= 0
 
     def tx_included(self, tx: Transaction, proof: InclusionProof) -> bool:

@@ -13,7 +13,7 @@ from pdid import actors, crypto, oprf
 from pdid.contract import GpmContract
 from pdid.errors import StaleSession, WrongPassword
 from pdid.ledger import Ledger
-from pdid.wire import decode_envelope_plaintext, decode_metadata
+from pdid.wire import GpmAuthRequest, decode_envelope_plaintext, decode_metadata
 
 
 def fresh():
@@ -164,11 +164,11 @@ def test_login_session_key_is_the_prf_of_the_hashed_x_coordinate():
     server_key, to_user = actors.server_auth_phase2(server, reply_ct)
     client_key = actors.client_auth_finish(client, b"pw", b"srv", to_user)
 
-    e_u = crypto.scalar_from_digest(server.e_client).value
-    e_s = crypto.scalar_from_digest(server.e_server).value
+    e_u = crypto.scalar_from_digest(server.request.e_client).value
+    e_s = crypto.scalar_from_digest(server.request.e_server).value
     exponent = (
         (x_u.value + e_u * p_u.value)
-        * (server.eph_priv.value + e_s * meta.server_static_priv.value)
+        * (server.request.server_eph_priv.value + e_s * meta.server_static_priv.value)
         % crypto.GROUP_ORDER
     )
     x = crypto.base_exp(crypto.Scalar(exponent)).x.to_bytes(32, "big")
@@ -225,8 +225,10 @@ def test_server_reply_key_is_one_shot():
 
 def test_server_session_holds_no_password_derived_values():
     # Structural blindness: the server's entire session state is the fixed
-    # field set below; no password, OPRF key, envelope key, or static secret
-    # ever enters it, and a session has no __dict__ to take other attributes.
+    # field set below, and its request the fixed field set of the message
+    # it sent the contract; no password, OPRF key, envelope key, or static
+    # secret ever enters either, and a session has no __dict__ to take other
+    # attributes.
     _, gpm = fresh()
     _, init = actors.client_auth_init(b"alice", b"pw")
     server, _ = actors.server_auth_phase1(b"srv", init, gpm.public_key)
@@ -234,16 +236,20 @@ def test_server_session_holds_no_password_derived_values():
     with pytest.raises(AttributeError):
         server.password = b"pw"
     assert set(actors.ServerSession.__slots__) == {
-        "server_id",
+        "request",
+        "eph_pub",
+        "reply_key",
+        "session_key",
+    }
+    assert isinstance(server.request, GpmAuthRequest)
+    assert set(GpmAuthRequest.__slots__) == {
         "username",
         "blinded_element",
         "client_eph_pub",
-        "eph_priv",
-        "eph_pub",
+        "server_eph_priv",
         "e_client",
         "e_server",
-        "reply_key",
-        "session_key",
+        "reply_pk",
     }
 
 

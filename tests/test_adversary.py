@@ -100,6 +100,16 @@ def test_server_view_has_expected_shape():
     assert all(isinstance(v, bytes) for v in view.values())
 
 
+def test_server_view_reply_public_is_the_half_of_reply_secret():
+    # The reply key the server asked the contract to answer to, not the
+    # ephemeral key of the box the server sent the contract.
+    ledger, gpm = fresh()
+    register(gpm, ledger, b"alice", b"pw")
+    view = adversary.capture_server_view(gpm, ledger, b"alice", b"pw", b"srv")
+    reply_key = crypto.box_private_key(view["reply_secret"])
+    assert view["reply_public"] == reply_key.public_key().public_bytes_raw()
+
+
 def test_server_view_excludes_password_secrets():
     # Structural absence: the OPRF key, static secrets, and the password
     # itself never appear among the server's bytes.

@@ -112,7 +112,7 @@ def test_auth_reply_decrypts_to_session_response():
     assert len(reply.session_key) == crypto.KEY_LEN
     # The evaluated element is the OPRF evaluation of the blinded point.
     assert reply.evaluated_element == oprf.evaluate(
-        session.blinded_element, decode_metadata(gpm._users[b"alice"]).oprf_key
+        session.request.blinded_element, decode_metadata(gpm._users[b"alice"]).oprf_key
     )
 
 

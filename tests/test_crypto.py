@@ -13,6 +13,7 @@ import math
 import os
 import random
 import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -421,6 +422,50 @@ def test_multiplications_agree_across_threads(seeded):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(rounds) >= len(threads)
+
+
+# Calls each native path once a round, 300 warm-up rounds (the allocator's
+# pools fill), then prints the RSS growth over 5,000 more, in bytes.
+NATIVE_LOOP = """
+import gc, os
+from pdid import crypto
+
+def rss_bytes():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+b, e = crypto.base_exp(crypto.random_scalar()), crypto.random_scalar()
+encoded = b.encode()
+
+def calls(count):
+    for _ in range(count):
+        crypto.exp(b, e)
+        crypto.dh_x(b, e)
+        crypto.base_exp(e)
+        crypto.decode_element(encoded)
+        crypto.hash_to_group("leak", [encoded])
+        crypto.scalar_invert(e)
+
+calls(300)
+gc.collect()
+before = rss_bytes()
+calls(5000)
+gc.collect()
+print(rss_bytes() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_native_calls_free_what_they_allocate():
+    # A multiplication that leaves one BIGNUM unfreed grows RSS by about
+    # 650 KiB over the loop. It runs in a fresh interpreter: the free chunks a
+    # test process's heap holds would take a leak in without RSS growing.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crypto.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NATIVE_LOOP], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 256 * 1024
 
 
 def test_mul_doubling_and_inverse():
