@@ -194,14 +194,13 @@ def client_auth_finish(
 
 class ServerSession:
     """Server state between its two phases: the auth request it sent to the
-    contract, its ephemeral share, the one-shot reply key, and, after phase
-    2, the session key.
+    contract, its ephemeral share and the one-shot reply key.
 
     The request holds only the user's blinded flow and the server's own
     values; nothing here depends on the user's password.
     """
 
-    __slots__ = ("request", "eph_pub", "reply_key", "session_key")
+    __slots__ = ("request", "eph_pub", "reply_key")
 
     def __init__(
         self,
@@ -212,7 +211,6 @@ class ServerSession:
         self.request = request
         self.eph_pub = eph_pub
         self.reply_key = reply_key
-        self.session_key: Optional[bytes] = None
 
 
 def server_auth_phase1(
@@ -244,7 +242,7 @@ def server_auth_phase1(
 def server_auth_phase2(
     session: ServerSession, reply_ciphertext: bytes
 ) -> Tuple[bytes, ServerToUser]:
-    """Open the contract's reply, keep the session key, forward the rest.
+    """Open the contract's reply; return the session key and what to forward.
 
     One-shot: the reply secret key is dropped on first use, so a session can
     never process a second reply.
@@ -254,7 +252,6 @@ def server_auth_phase2(
     plaintext = crypto.pk_decrypt(session.reply_key, reply_ciphertext)
     session.reply_key = None
     reply = decode_expected(plaintext, GpmAuthResponse)
-    session.session_key = reply.session_key
     out = ServerToUser(
         evaluated_element=reply.evaluated_element,
         server_eph_pub=session.eph_pub,

@@ -6,35 +6,44 @@ transaction whose payload is encrypted to that key, plus a ledger inclusion
 proof. Nothing is processed unless the proof verifies, so every password
 guess an attacker wants evaluated must first be placed on the public ledger.
 
-The two rate-limited methods, `auth_pdid` and `update_pdid`, share one
-admission step (`_admit`) that refuses in this order: ledger inclusion,
-transaction kind, box decryption, the request's tag and username, unknown
-user, full rate window. None of these decodes a group element, so a guess
-over the cap costs no point decompression. Only then is the whole request
-decoded, then the stored record, then (for `auth_pdid`) the reply box's key
-exchange is run; a malformed request, a corrupt record or a reply key with
-no box to it is refused there, before any charge. Every fault in a
-transaction body is MalformedRecord: a box that does not open, a field that
-does not parse, a point or scalar that fails its check, and a low-order
-reply key alike. So a request malformed past its username, or one against a
-corrupt record, is refused with RateLimited when the username's window is
-full, and with UnknownUser when no record is stored for the username. One
-fault only group work can find, an HMQV secret that is the identity
-(`crypto.hmqv_key`, which the client shares), is refused as MalformedRecord
-after the charge.
+One function decides a record: `apply(tx, now)` makes every refusal, the
+charge and the state change for an included record of any kind. For an
+admitted AUTH it returns the request, the stored record's fields and the
+reply box, from which `reply` computes the OPRF evaluation and the HMQV
+session key and seals them, changing no state. Each method checks the
+inclusion proof, then that the record's kind is its own, then calls
+`apply` at the clock's time. `apply` takes no proof, so a replay of the
+ledger can decide its records without verifying their attestations again.
 
-Methods are deterministic: given identical (state, transaction, proof) they
-produce identical outputs and state. The auth reply ciphertext is
-derandomized by deriving its encryption entropy from the contract secret and
-the transaction id (unique per admitted transaction). The only values that
-ever leave the contract are box ciphertexts addressed to a reply key and
-error codes; plaintext metadata never crosses the boundary.
+Refusals come in this order: ledger inclusion, transaction kind, box
+decryption; then for a registration the request's decode and a taken
+username, and for AUTH and UPDATE the request's tag and username, unknown
+user and a full rate window, none of which decodes a group element, so a
+guess over the cap costs no point decompression. Only then are the whole
+request and the stored record decoded, and (for AUTH) the reply box's key
+exchange run; a malformed request, a corrupt record or a reply key with no
+box to it is refused there, before any charge. Every fault in a
+transaction body is MalformedRecord: a box that does not open, a field
+that does not parse, a point or scalar that fails its check, and a
+low-order reply key alike. So a request malformed past its username, or
+one against a corrupt record, is refused with RateLimited when the
+username's window is full, and with UnknownUser when no record is stored
+for the username. One fault only group work can find, an HMQV secret that
+is the identity (`crypto.hmqv_key`, which the client shares), is refused
+as MalformedRecord by `reply`, after the charge.
+
+`apply` and `reply` are deterministic: given identical (state, transaction,
+time) they produce identical outputs and state. The auth reply ciphertext
+is derandomized by deriving its encryption entropy from the contract secret
+and the transaction id. The only values that ever leave the contract are
+box ciphertexts addressed to a reply key and error codes; plaintext
+metadata never crosses the boundary.
 
 State can be sealed to disk under a symmetric key (the stand-in for an
 enclave sealing key) and restored later, preserving users and the rate
 windows, two maps with one codec (`_pack_map`). Each user's metadata is
 held as its encoded record (FORMATS.md, tag 7) and decoded only by the
-method that uses it, and only in the fields that method uses, so a restore
+step that uses it, and only in the fields that step uses, so a restore
 touches no record beyond its tag and length.
 """
 
@@ -76,6 +85,7 @@ from .wire import (
 
 TxVerifier = Callable[[Transaction, InclusionProof], bool]
 _Decoded = TypeVar("_Decoded")
+_Admitted = Tuple[GpmAuthRequest, tuple, crypto.Box]
 
 DEFAULT_RATE_LIMIT: Tuple[int, float] = (10, 60.0)
 
@@ -113,6 +123,24 @@ def _checked_record(record: bytes) -> bytes:
     if len(record) != METADATA_LEN or record[0] != MSG_METADATA:
         raise MalformedRecord("bad metadata record")
     return record
+
+
+def _opens(password: bytes, meta: Any) -> bool:
+    """Whether `password` opens a stored record: its OPRF output must open
+    the envelope, the envelope's static public keys must equal the stored
+    ones byte for byte, and the recovered static secret must match the
+    stored client key."""
+    envelope_key = oprf.oprf_eval(meta.oprf_key, password)
+    try:
+        envelope_pt = crypto.aead_decrypt(envelope_key, meta.envelope)
+        static_priv, static_pub, server_pub = decode_envelope_plaintext(envelope_pt)
+        return (
+            static_pub == meta.client_static_pub.encode()
+            and server_pub == meta.server_static_pub.encode()
+            and crypto.base_exp(static_priv) == meta.client_static_pub
+        )
+    except AuthFailure:
+        return False
 
 
 def _pack_times(times: List[float]) -> bytes:
@@ -181,50 +209,62 @@ class GpmContract:
     def user_count(self) -> int:
         return len(self._users)
 
-    # -- shared gates --------------------------------------------------------
-
-    def _gate(self, tx: Transaction, proof: InclusionProof, kind: TxKind) -> bytes:
-        if not self._tx_verifier(tx, proof):
-            raise NotOnLedger("transaction is not proven on the ledger")
-        if tx.kind != kind:
-            raise MalformedRecord("transaction kind does not match method")
+    def apply(self, tx: Transaction, now: float) -> Optional[_Admitted]:
+        """Decide one included record of any kind at time `now`: every
+        refusal (in the module docstring's order), the rate charge and the
+        state change. Returns, for an admitted AUTH, the request, the stored
+        record's fields and the reply box; for any other record, None."""
         try:
-            return crypto.pk_decrypt(self._box_key, tx.payload)
+            plaintext = crypto.pk_decrypt(self._box_key, tx.payload)
         except CryptoError as exc:
             raise MalformedRecord("transaction does not open under the contract key") from exc
-
-    def _admit(
-        self,
-        tx: Transaction,
-        proof: InclusionProof,
-        kind: TxKind,
-        cls: type,
-        decode: Callable[[bytes], _Decoded],
-    ) -> Tuple[Any, _Decoded, float]:
-        """The one admission step of a rate-limited method. It refuses, before
-        any group element is decoded: the gate, the request's tag and
-        username, an unknown user, a full rate window. Returns the decoded
-        request, `decode` of the user's stored record, and the charge time.
-
-        Where each decode happens: unseal checked only each record's tag and
-        length; this step reads the request's tag and username and, once
-        the rate window admits it, decodes the whole request (`_request`),
-        then the stored record with `decode`. The method charges or does
-        group work only after both, so a bad field, of the request or of
-        the record, is refused before the method changes any state."""
-        plaintext = self._gate(tx, proof, kind)
+        if tx.kind == TxKind.REGISTER:
+            msg = _request(plaintext, RegistrationPlaintext)
+            if msg.username in self._users:
+                raise UsernameTaken("metadata already stored for this username")
+            self._users[msg.username] = msg.metadata.encode()
+            return None
+        auth = tx.kind == TxKind.AUTH
+        cls = GpmAuthRequest if auth else UpdatePlaintext
         username = leading_username(plaintext, cls)
         if username not in self._users:
             raise UnknownUser("no metadata for this username")
-        now = self._clock()
         if self._recent_attempts(username, now) >= self.rate_limit[0]:
             raise RateLimited("too many recent attempts for this username")
         msg = _request(plaintext, cls)
         try:
-            record = decode(self._users[username])
+            # Looked up by name at each call, so a rebound decoder is used.
+            record = (decode_auth_metadata if auth else decode_metadata)(self._users[username])
         except CryptoError as exc:
             raise MalformedRecord("stored metadata record is corrupt") from exc
-        return msg, record, now
+        if auth:
+            entropy = crypto.hash_parts("gpm-reply", [self._keypair.secret, tx.id])
+            try:
+                reply_box = crypto.pk_box(msg.reply_pk, entropy)
+            except CryptoError as exc:
+                raise MalformedRecord("no box can be made to the reply key") from exc
+            self._attempts.setdefault(username, []).append(now)
+            return msg, record, reply_box
+        if not _opens(msg.password, record):
+            self._attempts.setdefault(username, []).append(now)
+            raise WrongPassword("old password verification failed")
+        self._users[username] = msg.new_metadata.encode()
+        return None
+
+    def reply(self, msg: GpmAuthRequest, record: tuple, reply_box: crypto.Box) -> bytes:
+        """The contract half of an admitted AUTH's key exchange, sealed in
+        its reply box: the OPRF evaluation, the HMQV session key and the
+        stored envelope. It changes no state."""
+        oprf_key, server_static_priv, client_static_pub, envelope = record
+        evaluated = oprf.evaluate(msg.blinded_element, oprf_key)
+        try:
+            session_key = crypto.hmqv_key(
+                msg.client_eph_pub, client_static_pub, msg.e_client,
+                msg.server_eph_priv, server_static_priv, msg.e_server,
+            )
+        except CryptoError as exc:
+            raise MalformedRecord("the request's HMQV secret is the identity") from exc
+        return crypto.pk_encrypt(reply_box, GpmAuthResponse(evaluated, envelope, session_key).encode())
 
     def _recent_attempts(self, username: bytes, now: float) -> int:
         """Prune the username's window to `now` and count what is left. A
@@ -242,73 +282,31 @@ class GpmContract:
             del self._attempts[username]
         return len(times)
 
-    def _charge(self, username: bytes, now: float) -> None:
-        self._attempts.setdefault(username, []).append(now)
-
     # -- contract methods ------------------------------------------------------
+
+    def _apply_proven(self, tx: Transaction, proof: InclusionProof, kind: TxKind) -> Any:
+        """A method's call: the proof, the record's kind, then `apply`."""
+        if not self._tx_verifier(tx, proof):
+            raise NotOnLedger("transaction is not proven on the ledger")
+        if tx.kind != kind:
+            raise MalformedRecord("transaction kind does not match method")
+        return self.apply(tx, self._clock())
 
     def new_pdid(self, tx: Transaction, proof: InclusionProof) -> None:
         """Register: store metadata for a previously unseen username."""
-        msg = _request(self._gate(tx, proof, TxKind.REGISTER), RegistrationPlaintext)
-        if msg.username in self._users:
-            raise UsernameTaken("metadata already stored for this username")
-        self._users[msg.username] = msg.metadata.encode()
+        self._apply_proven(tx, proof, TxKind.REGISTER)
 
     def auth_pdid(self, tx: Transaction, proof: InclusionProof) -> bytes:
-        """Authenticate: run the contract half of the key exchange.
-
-        Returns the reply ciphertext for the server's reply key. The contract
-        cannot tell whether the password behind the blinded element is right,
-        so every admitted attempt counts against the username's rate window.
-        """
-        msg, (oprf_key, server_static_priv, client_static_pub, envelope), now = self._admit(
-            tx, proof, TxKind.AUTH, GpmAuthRequest, decode_auth_metadata
-        )
-        entropy = crypto.hash_parts("gpm-reply", [self._keypair.secret, tx.id])
-        try:
-            reply_box = crypto.pk_box(msg.reply_pk, entropy)
-        except CryptoError as exc:
-            raise MalformedRecord("no box can be made to the reply key") from exc
-        self._charge(msg.username, now)
-
-        evaluated = oprf.evaluate(msg.blinded_element, oprf_key)
-        try:
-            session_key = crypto.hmqv_key(
-                msg.client_eph_pub, client_static_pub, msg.e_client,
-                msg.server_eph_priv, server_static_priv, msg.e_server,
-            )
-        except CryptoError as exc:
-            raise MalformedRecord("the request's HMQV secret is the identity") from exc
-
-        reply = GpmAuthResponse(evaluated, envelope, session_key).encode()
-        return crypto.pk_encrypt(reply_box, reply)
+        """Authenticate: the reply ciphertext for the server's reply key. The
+        contract cannot tell whether the password behind the blinded element
+        is right, so every admitted attempt counts against its rate window."""
+        return self.reply(*self._apply_proven(tx, proof, TxKind.AUTH))
 
     def update_pdid(self, tx: Transaction, proof: InclusionProof) -> None:
-        """Replace metadata after verifying the old password.
-
-        Verification: the OPRF output for the presented password must open
-        the stored envelope, the envelope's static public keys must equal the
-        stored ones byte for byte, and the recovered static secret must match
-        the stored client key. Any failure is WrongPassword and counts as a
-        guess; stored metadata is untouched.
-        """
-        msg, meta, now = self._admit(tx, proof, TxKind.UPDATE, UpdatePlaintext, decode_metadata)
-
-        envelope_key = oprf.oprf_eval(meta.oprf_key, msg.password)
-        try:
-            envelope_pt = crypto.aead_decrypt(envelope_key, meta.envelope)
-            static_priv, static_pub, server_pub = decode_envelope_plaintext(envelope_pt)
-            verified = (
-                static_pub == meta.client_static_pub.encode()
-                and server_pub == meta.server_static_pub.encode()
-                and crypto.base_exp(static_priv) == meta.client_static_pub
-            )
-        except AuthFailure:
-            verified = False
-        if not verified:
-            self._charge(msg.username, now)
-            raise WrongPassword("old password verification failed")
-        self._users[msg.username] = msg.new_metadata.encode()
+        """Replace metadata after verifying the old password (`_opens`). A
+        failed verification is WrongPassword and counts as a guess; stored
+        metadata is untouched."""
+        self._apply_proven(tx, proof, TxKind.UPDATE)
 
     # -- sealing ---------------------------------------------------------------
 

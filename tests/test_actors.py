@@ -239,7 +239,6 @@ def test_server_session_holds_no_password_derived_values():
         "request",
         "eph_pub",
         "reply_key",
-        "session_key",
     }
     assert isinstance(server.request, GpmAuthRequest)
     assert set(GpmAuthRequest.__slots__) == {

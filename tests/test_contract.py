@@ -97,6 +97,27 @@ def test_wrong_kind_same_ledger_entry():
         gpm.auth_pdid(tx, proof)
 
 
+@pytest.mark.parametrize(
+    "method, kind",
+    [("new_pdid", TxKind.AUTH), ("auth_pdid", TxKind.UPDATE), ("update_pdid", TxKind.REGISTER)],
+    ids=["new_pdid", "auth_pdid", "update_pdid"],
+)
+def test_off_ledger_wrong_kind_is_refused_as_not_on_ledger(manual_clock, method, kind):
+    # Inclusion is checked before the kind, so a record the ledger never
+    # saw is NotOnLedger whatever its kind, and changes nothing.
+    ledger, gpm = fresh(clock=manual_clock)
+    register(gpm, ledger, b"alice", b"pw")
+    _, init = actors.client_auth_init(b"alice", b"pw")
+    tx = {
+        TxKind.REGISTER: lambda: actors.client_register(b"bob", b"pw", gpm.public_key),
+        TxKind.AUTH: lambda: actors.server_auth_phase1(b"srv", init, gpm.public_key)[1],
+        TxKind.UPDATE: lambda: actors.client_update(b"alice", b"pw", b"new", gpm.public_key),
+    }[kind]()
+    with pytest.raises(NotOnLedger):
+        getattr(gpm, method)(tx, InclusionProof(tx.id, 0, ()))
+    assert gpm.user_count() == 1 and gpm._attempts == {}
+
+
 # ---------------------------------------------------------------------------
 # Authentication.
 # ---------------------------------------------------------------------------

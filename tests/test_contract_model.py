@@ -6,6 +6,11 @@ The oracle is `Model` from `perfbench/run.py`, the one account of who holds
 which password and of each username's sliding rate window that the
 benchmark also predicts its outcomes with. It is loaded from its file, so
 the model has one copy and this test needs no package for it.
+
+After every step, the ledger is also folded through a second contract with
+the same keypair, each record decided by `apply` alone at the time it was
+appended: the live contract's users and its rate windows, pruned to now,
+must be that fold's.
 """
 
 import importlib.util
@@ -14,11 +19,11 @@ from pathlib import Path
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from pdid import actors
 from pdid.contract import GpmContract
-from pdid.errors import RateLimited, WrongPassword
+from pdid.errors import PdidError, RateLimited, WrongPassword
 from pdid.ledger import Ledger
 
 CAP = 3
@@ -40,6 +45,16 @@ def _load_model() -> type:
 Model = _load_model()
 
 
+def live_windows(gpm: GpmContract, now: float) -> dict:
+    """The contract's rate windows pruned to `now`, without pruning them."""
+    live = {}
+    for username, times in gpm._attempts.items():
+        kept = [t for t in times if now - t <= WINDOW]
+        if kept:
+            live[username] = kept
+    return live
+
+
 class ContractMachine(RuleBasedStateMachine):
     """One in-process ledger and contract on a manual clock, cap 3."""
 
@@ -51,10 +66,20 @@ class ContractMachine(RuleBasedStateMachine):
             self.ledger.tx_included, clock=lambda: self.now, rate_limit=(CAP, WINDOW)
         )
         self.model = Model(seed, CAP, WINDOW, max_users=None)
+        self.appended_at = []  # the clock when each ledger record was appended
+        self.fold = GpmContract(
+            self.gpm._keypair, tx_verifier=self.ledger.tx_included, rate_limit=(CAP, WINDOW)
+        )
+        self.folded = 0  # ledger records decided by the fold so far
         for op in (self.model.enrol(), self.model.enrol(target=True)):
             assert self._run(op) == op.expect
 
     def _run(self, op) -> str:
+        outcome = self._outcome(op)
+        self.appended_at += [self.now] * (len(self.ledger) - len(self.appended_at))
+        return outcome
+
+    def _outcome(self, op) -> str:
         try:
             if op.kind == "register":
                 actors.run_register(self.gpm, self.ledger, op.username, op.password)
@@ -91,6 +116,19 @@ class ContractMachine(RuleBasedStateMachine):
             clock=lambda: self.now,
             rate_limit=(CAP, WINDOW),
         )
+
+    @invariant()
+    def state_is_the_fold_of_the_ledger(self):
+        # One fold per example, carried forward record by record: `apply`
+        # is deterministic, so this is the fold of the whole ledger.
+        for seq in range(self.folded, len(self.ledger)):
+            try:
+                self.fold.apply(self.ledger.transaction_at(seq), self.appended_at[seq])
+            except PdidError:
+                pass
+        self.folded = len(self.ledger)
+        assert self.fold._users == self.gpm._users
+        assert live_windows(self.fold, self.now) == live_windows(self.gpm, self.now)
 
 
 ContractMachine.TestCase.settings = settings(
