@@ -502,6 +502,51 @@ def test_a_login_makes_five_exp_and_two_dh_x(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def second_pair(replace):
+    """A malformation of a proof's (seq, attestations): its second
+    attestation passed through `replace`."""
+    return lambda seq, pairs: (seq, (pairs[0], replace(*pairs[1])))
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        second_pair(lambda index, sig: (float(index), sig)),
+        second_pair(lambda index, sig: (str(index), sig)),
+        second_pair(lambda index, sig: (None, sig)),
+        second_pair(lambda index, sig: (index, None)),
+        second_pair(lambda index, sig: (index, sig.hex())),
+        second_pair(lambda index, sig: (index,)),
+        lambda seq, pairs: (float(seq), pairs),
+    ],
+    ids=[
+        "index-float",
+        "index-str",
+        "index-none",
+        "signature-none",
+        "signature-str",
+        "one-element-attestation",
+        "seq-float",
+    ],
+)
+def test_auth_with_a_malformed_proof_is_not_on_ledger_and_changes_nothing(
+    manual_clock, malform
+):
+    ledger, gpm = fresh(clock=manual_clock)
+    register(gpm, ledger, b"alice", b"pw")
+    auth_once(gpm, ledger, b"alice", b"pw")
+    users, window = dict(gpm._users), list(gpm._attempts[b"alice"])
+    manual_clock.advance(1.0)
+    tx = auth_tx(gpm, b"alice")
+    proof = ledger.append(tx)
+    malformed = InclusionProof(proof.tx_id, *malform(proof.seq, proof.attestations))
+    assert ledger.tx_included(tx, malformed) is False
+    with pytest.raises(NotOnLedger):
+        gpm.auth_pdid(tx, malformed)
+    assert gpm._users == users
+    assert gpm._attempts[b"alice"] == window
+
+
 def test_update_replaces_metadata():
     ledger, gpm = fresh()
     register(gpm, ledger, b"alice", b"old-pw")

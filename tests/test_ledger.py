@@ -1,6 +1,7 @@
 """Append-only ledger: quorum proofs, duplicates, persistence, forgeries."""
 
 import os
+import random
 import sys
 import threading
 import tracemalloc
@@ -539,3 +540,202 @@ def test_reopened_ledger_keeps_at_most_40_bytes_per_record(tmp_path):
     reloaded.close()
     assert len(reloaded) == 3000
     assert retained / 3000 <= 40
+
+
+# -- proofs the ledger issued itself -----------------------------------------
+
+
+def reference_included(ledger, tx, proof):
+    """The quorum check with no memory of issued proofs: every signature
+    verified, and a proof of the wrong shape refused."""
+    try:
+        if proof.tx_id != tx.id or not 0 <= proof.seq < len(ledger):
+            return False
+        if ledger.transaction_at(proof.seq).payload != tx.payload:
+            return False
+        message = attestation_message(proof.tx_id, proof.seq)
+        valid = set()
+        for index, signature in proof.attestations:
+            if 0 <= index < ledger.n_nodes and index not in valid:
+                if crypto.verify(ledger.nodes[index].public, message, signature):
+                    valid.add(index)
+        return len(valid) >= ledger.f + 1
+    except (TypeError, ValueError):
+        return False
+
+
+def with_pairs(proof, attestations, seq=None):
+    return InclusionProof(proof.tx_id, proof.seq if seq is None else seq, attestations)
+
+
+def tampered(signature, rng):
+    bad = bytearray(signature)
+    bad[rng.randrange(len(bad))] ^= 1 << rng.randrange(8)
+    return bytes(bad)
+
+
+def proof_variants(ledger, txs, proofs, rng):
+    """(label, tx, proof) for proofs this ledger issued, equal copies of
+    them, and every kind of proof it did not issue."""
+    f = ledger.f
+    extra = ledger.nodes[f + 1]
+    for seq, (tx, proof) in enumerate(zip(txs, proofs)):
+        pairs = proof.attestations
+        (i0, s0), (i1, s1) = pairs[0], pairs[1]
+        other = txs[(seq + 1) % len(txs)]
+        message = attestation_message(tx.id, seq)
+        yield "issued", tx, proof
+        copy = tuple((index, bytes(bytearray(sig))) for index, sig in pairs)
+        yield "equal copy", tx, InclusionProof(bytes(bytearray(proof.tx_id)), seq, copy)
+        k = rng.randrange(len(pairs))
+        bad = pairs[:k] + ((pairs[k][0], tampered(pairs[k][1], rng)),) + pairs[k + 1 :]
+        yield "tampered signature", tx, with_pairs(proof, bad)
+        yield "reordered", tx, with_pairs(proof, pairs[::-1])
+        yield "duplicated", tx, with_pairs(proof, (pairs[0], pairs[0]))
+        yield "dropped", tx, with_pairs(proof, pairs[: rng.randrange(f + 1)])
+        yield "padded", tx, with_pairs(proof, pairs + ((extra.index, extra.attest(tx.id, seq)),))
+        yield "wrong seq", tx, with_pairs(proof, pairs, seq=(seq + 1) % len(txs))
+        yield "wrong tx", other, proof
+        leaked = ledger.leak_node_seeds(f)
+        forged = tuple((i, crypto.sign(seed, message)) for i, seed in enumerate(leaked))
+        yield "forged, f leaked", tx, with_pairs(proof, forged)
+        yield "forged, f leaked + junk", tx, with_pairs(
+            proof, forged + ((f, crypto.random_bytes(64)),)
+        )
+        yield "index 1.0", tx, with_pairs(proof, ((i0, s0), (float(i1), s1)))
+        yield "index True", tx, with_pairs(proof, ((i0, s0), (True, s1)))
+        yield "index '1'", tx, with_pairs(proof, ((i0, s0), (str(i1), s1)))
+        yield "index None", tx, with_pairs(proof, ((i0, s0), (None, s1)))
+        yield "bytearray signature", tx, with_pairs(proof, ((i0, s0), (i1, bytearray(s1))))
+        yield "signature None", tx, with_pairs(proof, ((i0, s0), (i1, None)))
+        yield "signature str", tx, with_pairs(proof, ((i0, s0), (i1, s1.hex())))
+        yield "one-element attestation", tx, with_pairs(proof, ((i0, s0), (i1,)))
+        yield "list attestations", tx, with_pairs(proof, list(pairs))
+        yield "seq float", tx, with_pairs(proof, pairs, seq=float(seq))
+
+
+OWN_PROOF_LABELS = {"issued", "equal copy"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tx_included_answers_as_the_reference_quorum_check(seed):
+    rng = random.Random(seed)
+    crypto.set_insecure_seed(seed)
+    ledger = Ledger()
+    txs = [make_tx(bytes([i])) for i in range(3)]
+    proofs = [ledger.append(tx) for tx in txs]
+    seen = set()
+    for label, tx, proof in proof_variants(ledger, txs, proofs, rng):
+        expected = reference_included(ledger, tx, proof)
+        assert ledger.tx_included(tx, proof) is expected, label
+        seen.add((label, expected))
+    # Besides the issued ones, only proofs that carry f + 1 valid signatures.
+    accepted = {label for label, ok in seen if ok}
+    assert accepted == OWN_PROOF_LABELS | {
+        "reordered",
+        "padded",
+        "index True",
+        "bytearray signature",
+        "list attestations",
+    }
+
+
+def test_proofs_from_a_twin_ledger_or_before_a_reopen_answer_as_the_reference(tmp_path):
+    path = str(tmp_path / "ledger.log")
+    ledger = Ledger.create(path)
+    txs = [make_tx(bytes([i])) for i in range(3)]
+    proofs = [ledger.append(tx) for tx in txs]
+    # Same seeds, so the same deterministic signatures for the same (tx, seq).
+    twin = Ledger(node_seeds=[node.seed for node in ledger.nodes])
+    twin_proofs = [twin.append(tx) for tx in reversed(txs)]
+    ledger.close()
+    reopened = Ledger.open(path)
+    for tx, proof, twin_proof in zip(txs, proofs, reversed(twin_proofs)):
+        assert reopened.tx_included(tx, proof)
+        assert reopened.tx_included(tx, twin_proof) is reference_included(reopened, tx, twin_proof)
+        assert twin.tx_included(tx, proof) is reference_included(twin, tx, proof)
+        assert twin.tx_included(tx, twin_proof)
+    reopened.close()
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    calls = []
+    verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *a: calls.append(1) or verify(*a))
+    return calls
+
+
+def test_only_an_issued_proof_skips_signature_checks(verify_calls, tmp_path):
+    rng = random.Random(7)
+    ledger = Ledger.create(str(tmp_path / "ledger.log"))
+    txs = [make_tx(bytes([i])) for i in range(3)]
+    proofs = [ledger.append(tx) for tx in txs]
+    for label, tx, proof in proof_variants(ledger, txs, proofs, rng):
+        del verify_calls[:]
+        answer = ledger.tx_included(tx, proof)
+        calls = len(verify_calls)
+        del verify_calls[:]
+        assert answer is reference_included(ledger, tx, proof), label
+        if label in OWN_PROOF_LABELS:
+            assert calls == 0, label
+        else:
+            # The full check: every signature the reference verifies.
+            assert calls == len(verify_calls), label
+            assert not answer or calls >= ledger.f + 1, label
+    ledger.close()
+    reopened = Ledger.open(ledger.path)
+    for tx, proof in zip(txs, proofs):
+        del verify_calls[:]
+        assert reopened.tx_included(tx, proof)
+        assert len(verify_calls) == reopened.f + 1
+    reopened.close()
+
+
+def test_issued_proofs_are_kept_for_a_fixed_number_of_appends(verify_calls):
+    ledger = Ledger()
+    size = ledger_module._RECENT
+    txs = [make_tx(i.to_bytes(2, "big")) for i in range(10 * size)]
+    proofs = [ledger.append(tx) for tx in txs]
+    assert len(ledger._recent) == size
+    for seq, (tx, proof) in enumerate(zip(txs, proofs)):
+        del verify_calls[:]
+        assert ledger.tx_included(tx, proof)
+        recent = seq >= len(txs) - size
+        assert len(verify_calls) == (0 if recent else ledger.f + 1)
+    # The signatures issued for a later seq in the same slot are no proof
+    # for an earlier one.
+    for seq in range(len(txs) - size):
+        borrowed = InclusionProof(txs[seq].id, seq, proofs[-size + seq % size].attestations)
+        assert not ledger.tx_included(txs[seq], borrowed)
+
+
+def test_concurrent_appends_and_checks_keep_issued_proofs_bounded():
+    ledger = Ledger()
+    size = ledger_module._RECENT
+    results = []
+
+    def append_and_check(worker):
+        mine = []
+        for i in range(2 * size):
+            tx = make_tx(bytes([worker, i]))
+            proof = ledger.append(tx)
+            results.append(ledger.tx_included(tx, proof))
+            mine.append((tx, proof))
+        results.extend(ledger.tx_included(tx, proof) for tx, proof in mine)
+
+    threads = [threading.Thread(target=append_and_check, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 * 2 * 2 * size and all(results)
+    assert len(ledger._recent) == size
+    for slot, proof in enumerate(ledger._recent):
+        assert proof is None or proof.seq % size == slot
