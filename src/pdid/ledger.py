@@ -5,9 +5,9 @@ transaction assigns it the next sequence number and returns an inclusion
 proof carrying f + 1 node signatures over (transaction id, sequence); with at
 most f byzantine nodes, any f + 1 valid signatures pin the transaction to the
 honest log, so the contract accepts a transaction only after this check.
-A ledger keeps the last `_RECENT` proofs it issued and recognises an exact
-copy of one without checking, again, signatures its own node keys just made
-over that message; every other proof is checked signature by signature.
+A ledger keeps the proof its latest append returned and accepts that very
+object without checking, again, signatures its own node keys just made over
+that message; every other proof is checked signature by signature.
 Duplicate transaction ids are rejected at append time, which is also the
 replay defense: a captured transaction can never be placed twice.
 
@@ -45,10 +45,6 @@ _ID_LEN = 32
 _ATTEST_LABEL = b"ledger-attest"
 # A dict lookup: calling TxKind(value) costs about 0.8 µs per reloaded record.
 _KINDS = {kind.value: kind for kind in TxKind}
-# Proofs a ledger remembers issuing, in a ring indexed by seq: the last
-# this many appends, so a proof is recognised while its transaction is
-# still on its way to the contract.
-_RECENT = 64
 
 
 class Transaction(crypto.Frozen):
@@ -140,20 +136,6 @@ def attestation_message(tx_id: bytes, seq: int) -> bytes:
     return _ATTEST_LABEL + tx_id + struct.pack(">Q", seq)
 
 
-def _same_pairs(attestations: object, issued: tuple[tuple[int, bytes], ...]) -> bool:
-    """Whether `attestations` is `issued` byte for byte: a tuple of (int,
-    bytes) pairs equal to it, not values that merely compare equal (an
-    index 1.0 or True, a bytearray signature)."""
-    return (
-        type(attestations) is tuple
-        and attestations == issued
-        and all(
-            type(pair) is tuple and type(pair[0]) is int and type(pair[1]) is bytes
-            for pair in attestations
-        )
-    )
-
-
 class _Node:
     """One simulated consensus node: an index and a signing key."""
 
@@ -216,9 +198,7 @@ class Ledger:
         self._header_digest = b""
         self._last_start = 0  # file offset of the last record
         self._end = 0  # file offset up to which this process read or wrote
-        # The proof append issued for seq, at seq % _RECENT. A fixed list:
-        # appends racing for one slot lose an entry, never grow it.
-        self._recent: list[Optional[InclusionProof]] = [None] * _RECENT
+        self._issued: Optional[InclusionProof] = None  # the latest append's proof
 
     @property
     def _header_len(self) -> int:
@@ -368,7 +348,7 @@ class Ledger:
             (node.index, node.attest(tx_id, seq)) for node in self.nodes[: self.f + 1]
         )
         proof = InclusionProof(tx_id, seq, attestations)
-        self._recent[seq % _RECENT] = proof
+        self._issued = proof
         return proof
 
     def _indexed(self, tx_id: bytes) -> bool:
@@ -386,24 +366,18 @@ class Ledger:
 
         A proof of the wrong shape (a seq that is not an int, an attestation
         that is not a pair, a node index or signature of the wrong type) is
-        refused, not raised on. A proof that is, byte for byte, one of the
-        last `_RECENT` this ledger issued is accepted without verifying its
-        signatures: this ledger's node keys made them over this very message,
-        so the check could only pass. Any other proof, even one that
-        compares equal, has every signature verified.
+        refused, not raised on. The proof object the latest append returned
+        is accepted without verifying its signatures: it is immutable, and
+        this ledger's node keys made them over this very message, so the
+        check could only pass. Any other proof, even an equal copy, has
+        every signature verified.
         """
         seq = proof.seq
         if not isinstance(seq, int) or proof.tx_id != tx.id:
             return False
         if not 0 <= seq < len(self) or self._record(seq)[1] != tx.payload:
             return False
-        # The record at seq is tx, so an issued proof for seq has its id.
-        issued = self._recent[seq % _RECENT]
-        if (
-            issued is not None
-            and issued.seq == seq
-            and _same_pairs(proof.attestations, issued.attestations)
-        ):
+        if proof is self._issued:
             return True
         message = attestation_message(proof.tx_id, seq)
         valid = set()
