@@ -32,10 +32,21 @@ addition mod p or n:
 Symmetric and box primitives are delegated to the
 `cryptography` package: ChaCha20-Poly1305 for AEAD, X25519 +
 ChaCha20-Poly1305 for public-key boxes, Ed25519 for detached signatures.
-Public keys leave OpenSSL as raw bytes (`public_bytes_raw`), so this
-module does not import `cryptography`'s `serialization` package, which
-loads the SSH and RSA code with it; nor does it import its `ec` module,
-whose P-256 keys the native calls replace.
+Their classes and key constructors come straight from its Rust binding,
+`cryptography.hazmat.bindings._rust.openssl`: they are the objects its
+public wrappers return, but the X25519 wrapper imports the cffi
+`backends.openssl` backend (with `ec`, `rsa` and `padding`) to ask
+`x25519_supported()`, 8-10 ms on a process's first key, `ciphers.aead`
+loads the `ciphers` package and the `decrepit` ciphers (about 4 ms), and
+the key modules load `_serialization` (2-CPU machine, bytecode cached).
+The binding's layout is not public API, so `pyproject.toml` asks for the
+release this was tested with, a missing name fails the import with an
+`ImportError` that names it, and `tests/test_crypto.py` checks keys,
+boxes and signatures against the public wrappers. Public keys leave
+OpenSSL as raw bytes (`public_bytes_raw`), so this module does not import
+`cryptography`'s `serialization` package, which loads the SSH and RSA code
+with it; nor does it import its `ec` module, whose P-256 keys the native
+calls replace.
 
 SHA-256, SHA-512 and HMAC-SHA256 also run through `cryptography`, and
 randomness is `os.urandom` (what `secrets.token_bytes` returns), so a
@@ -65,15 +76,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.bindings._rust import openssl as _rust
 from cryptography.hazmat.primitives.hashes import SHA256, SHA512, Hash
 from cryptography.hazmat.primitives.hmac import HMAC
 
@@ -84,6 +87,21 @@ from .errors import (
     InvalidElement,
     InvalidScalar,
 )
+
+try:
+    # What `cryptography`'s public wrappers return, without their imports
+    # (see the module docstring).
+    ChaCha20Poly1305 = _rust.aead.ChaCha20Poly1305
+    X25519PrivateKey = _rust.x25519.X25519PrivateKey
+    _x25519_private = _rust.x25519.from_private_bytes
+    _x25519_public = _rust.x25519.from_public_bytes
+    Ed25519PrivateKey = _rust.ed25519.Ed25519PrivateKey
+    _ed25519_private = _rust.ed25519.from_private_bytes
+    _ed25519_public = _rust.ed25519.from_public_bytes
+except AttributeError as exc:
+    raise ImportError(
+        f"pdid needs cryptography.hazmat.bindings._rust.openssl as in cryptography>=48: {exc}"
+    ) from exc
 
 # ---------------------------------------------------------------------------
 # Size constants (bytes). Every fixed width used on the wire lives here.
@@ -256,8 +274,10 @@ class GroupElement(Frozen):
     """Point on the curve; (None, None) is the group identity.
 
     Construction validates the curve equation, so any held instance passed a
-    membership check. The identity has a reserved all-zero encoding that the
-    wire decoder refuses; it can only arise from in-process arithmetic.
+    membership check: this module's `_point` skips it only for a point that
+    `decode_element` or `EC_POINT_mul` has just put on the curve. The
+    identity has a reserved all-zero encoding that the wire decoder refuses;
+    it can only arise from in-process arithmetic.
     """
 
     __slots__ = ("x", "y")
@@ -288,6 +308,17 @@ class GroupElement(Frozen):
 
 IDENTITY = GroupElement(None, None)
 GENERATOR = GroupElement(_GX, _GY)
+_set_x = GroupElement.x.__set__
+_set_y = GroupElement.y.__set__
+
+
+def _point(x: int, y: int) -> GroupElement:
+    """GroupElement(x, y) without its curve check (about 0.3 µs against
+    2.3 µs on a 2-CPU machine), for a point known to be on the curve."""
+    element = object.__new__(GroupElement)
+    _set_x(element, x)
+    _set_y(element, y)
+    return element
 
 
 def decode_element(data: bytes) -> GroupElement:
@@ -307,7 +338,7 @@ def decode_element(data: bytes) -> GroupElement:
         raise InvalidElement("x has no point on the curve")
     if y & 1 != data[0] & 1:
         y = _P - y
-    return GroupElement(x, y)
+    return _point(x, y)
 
 
 def decode_scalar(data: bytes) -> Scalar:
@@ -479,11 +510,11 @@ def _point_mul(k: int, b: Optional[GroupElement]) -> bytes:
 
 
 def _element(octets: bytes) -> GroupElement:
-    """An element from OpenSSL's uncompressed octets (one zero byte is the
-    identity)."""
+    """An element from `EC_POINT_mul`'s uncompressed octets (one zero byte
+    is the identity), which OpenSSL has put on the curve."""
     if len(octets) == 1:
         return IDENTITY
-    return GroupElement(int.from_bytes(octets[1:33], "big"), int.from_bytes(octets[33:], "big"))
+    return _point(int.from_bytes(octets[1:33], "big"), int.from_bytes(octets[33:], "big"))
 
 
 def base_exp(e: Scalar) -> GroupElement:
@@ -717,7 +748,7 @@ class KeyPair(Frozen):
 def pk_gen() -> KeyPair:
     """Fresh box keypair."""
     secret = random_bytes(BOX_SECRET_LEN)
-    public = X25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
+    public = _x25519_private(secret).public_key().public_bytes_raw()
     return KeyPair(secret, public)
 
 
@@ -753,10 +784,10 @@ def pk_box(public: bytes, entropy: Optional[bytes] = None) -> Box:
     else:
         eph_secret = hash_parts("pke-eph", [entropy])
         nonce = hash_parts("pke-nonce", [entropy])[:AEAD_NONCE_LEN]
-    eph = X25519PrivateKey.from_private_bytes(eph_secret)
+    eph = _x25519_private(eph_secret)
     eph_public = eph.public_key().public_bytes_raw()
     try:
-        shared = eph.exchange(X25519PublicKey.from_public_bytes(public))
+        shared = eph.exchange(_x25519_public(public))
     except ValueError as exc:
         raise CryptoError("box public key is a low-order point") from exc
     return Box(eph_public, nonce, _box_key(eph_public, public, shared))
@@ -775,7 +806,7 @@ def box_private_key(secret: bytes) -> X25519PrivateKey:
     """Key object for a box secret; build it once for repeated decryption."""
     if len(secret) != BOX_SECRET_LEN:
         raise CryptoError("box secret key must be 32 bytes")
-    return X25519PrivateKey.from_private_bytes(secret)
+    return _x25519_private(secret)
 
 
 def pk_decrypt(secret: Union[bytes, X25519PrivateKey], ciphertext: bytes) -> bytes:
@@ -789,7 +820,7 @@ def pk_decrypt(secret: Union[bytes, X25519PrivateKey], ciphertext: bytes) -> byt
     body = ciphertext[BOX_PUBLIC_LEN + AEAD_NONCE_LEN :]
     public = sk.public_key().public_bytes_raw()
     try:
-        shared = sk.exchange(X25519PublicKey.from_public_bytes(eph_public))
+        shared = sk.exchange(_x25519_public(eph_public))
         key = _box_key(eph_public, public, shared)
         return ChaCha20Poly1305(key).decrypt(nonce, body, None)
     except (InvalidTag, ValueError) as exc:
@@ -810,7 +841,7 @@ def sig_public(secret: Union[bytes, Ed25519PrivateKey]) -> bytes:
 
 def signing_key(secret: bytes) -> Ed25519PrivateKey:
     """Key object for a signing seed; build it once for repeated signing."""
-    return Ed25519PrivateKey.from_private_bytes(secret)
+    return _ed25519_private(secret)
 
 
 def sign(secret: Union[bytes, Ed25519PrivateKey], message: bytes) -> bytes:
@@ -822,7 +853,7 @@ def sign(secret: Union[bytes, Ed25519PrivateKey], message: bytes) -> bytes:
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     try:
-        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+        _ed25519_public(public).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False

@@ -502,6 +502,38 @@ def test_commands_load_no_stdlib_openssl(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_commands_load_no_cryptography_wrapper_modules(tmp_path):
+    # `crypto` takes AEAD, X25519 and Ed25519 from `cryptography`'s Rust
+    # binding; the public wrappers load the cffi backend, the `ciphers`
+    # package and `_serialization` on the way to the same objects.
+    code = (
+        "import os, sys\n"
+        "from pdid import cli\n"
+        f"config = {str(tmp_path / 'deploy.json')!r}\n"
+        "for command, password, code in (\n"
+        "        (['init'], 'pw', 0), (['register', '--username', 'al'], 'pw', 0),\n"
+        "        (['login', '--username', 'al'], 'pw', 0),\n"
+        "        (['login', '--username', 'al'], 'wrong', 1),\n"
+        "        (['update', '--username', 'al'], 'pw', 0)):\n"
+        "    os.environ['PDID_PASSWORD'] = password\n"
+        "    assert cli.main(['--config', config] + command) == code, command\n"
+        "print(sorted({\n"
+        "    'cryptography.hazmat.backends.openssl.backend',\n"
+        "    'cryptography.hazmat.primitives.ciphers',\n"
+        "    'cryptography.hazmat.primitives.asymmetric.x25519',\n"
+        "    'cryptography.hazmat.primitives.asymmetric.ed25519',\n"
+        "} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pdid.__file__)),
+               PDID_NEW_PASSWORD="pw2")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "error: authentication-failed" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_benchmark_entry_points_stay_bound():
     # perfbench/run.py and perfbench/tracing.py look these up on pdid.cli.
     def params(fn):

@@ -20,6 +20,15 @@ import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_formats import off_curve_x
@@ -375,6 +384,22 @@ def test_group_operations_match_affine_reference(seeded):
     for a, b in zip(bases, bases[1:] + bases[:1]):
         ours = crypto.mul(crypto.GroupElement(*a), crypto.GroupElement(*b))
         assert as_pair(ours) == reference_add(a, b)
+
+
+def test_decoded_and_multiplied_points_equal_checked_construction(seeded):
+    # decode_element and exp build their results without the curve check
+    # that GroupElement(x, y) makes; each must equal the checked one.
+    base = crypto.base_exp(crypto.random_scalar())
+    for _ in range(200):
+        e = crypto.random_scalar()
+        for element in (crypto.exp(base, e), crypto.decode_element(crypto.base_exp(e).encode())):
+            checked = crypto.GroupElement(element.x, element.y)
+            assert type(element) is crypto.GroupElement
+            assert element == checked and hash(element) == hash(checked)
+            with pytest.raises(InvalidElement):
+                crypto.GroupElement(element.x, (element.y + 1) % P256_P)
+    with pytest.raises(AttributeError):
+        element.x = checked.x
 
 
 def test_multiplications_agree_across_threads(seeded):
@@ -862,6 +887,71 @@ def test_signature_round_trip_and_rejection():
     corrupted[0] ^= 1
     assert not crypto.verify(public, b"attest this", bytes(corrupted))
     assert not crypto.verify(crypto.sig_public(crypto.random_bytes(32)), b"attest this", sig)
+
+
+# ---------------------------------------------------------------------------
+# `cryptography`'s Rust binding, which `crypto` calls directly, against the
+# public wrappers that return the same objects.
+# ---------------------------------------------------------------------------
+
+
+def test_key_objects_are_the_public_api_classes():
+    assert isinstance(crypto.box_private_key(bytes(range(32))), X25519PrivateKey)
+    assert isinstance(crypto.signing_key(bytes(range(32))), Ed25519PrivateKey)
+
+
+def test_boxes_match_the_public_api(seeded):
+    for n in range(50):
+        secret, entropy, message = (crypto.random_bytes(k) for k in (32, 32, n))
+        public = X25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
+        eph = X25519PrivateKey.from_private_bytes(crypto.hash_parts("pke-eph", [entropy]))
+        eph_public = eph.public_key().public_bytes_raw()
+        shared = eph.exchange(X25519PublicKey.from_public_bytes(public))
+        key = crypto.hash_parts("pke-kdf", [eph_public, public, shared])
+        nonce = crypto.hash_parts("pke-nonce", [entropy])[: crypto.AEAD_NONCE_LEN]
+        expected = eph_public + nonce + ChaCha20Poly1305(key).encrypt(nonce, message, None)
+        assert crypto.pk_encrypt(crypto.pk_box(public, entropy), message) == expected
+        assert crypto.pk_decrypt(secret, expected) == message
+        assert crypto.pk_decrypt(crypto.box_private_key(secret), expected) == message
+        # A box's tail is an AEAD ciphertext: nonce || body+tag.
+        assert crypto.aead_decrypt(key, expected[crypto.BOX_PUBLIC_LEN :]) == message
+        sealed = crypto.aead_encrypt(key, message)
+        nonce, body = sealed[: crypto.AEAD_NONCE_LEN], sealed[crypto.AEAD_NONCE_LEN :]
+        assert ChaCha20Poly1305(key).decrypt(nonce, body, None) == message
+
+
+def test_signatures_match_the_public_api(seeded):
+    for n in range(50):
+        seed, message = crypto.random_bytes(32), crypto.random_bytes(n)
+        oracle = Ed25519PrivateKey.from_private_bytes(seed)
+        public = oracle.public_key().public_bytes_raw()
+        signature = oracle.sign(message)
+        assert crypto.sig_public(seed) == crypto.sig_public(crypto.signing_key(seed)) == public
+        assert crypto.sign(seed, message) == crypto.sign(crypto.signing_key(seed), message) == signature
+        assert crypto.verify(public, message, signature)
+    # The public constructor refuses a 31-byte key too; verify says no.
+    with pytest.raises(ValueError):
+        Ed25519PublicKey.from_public_bytes(public[:31])
+    assert not crypto.verify(public[:31], message, signature)
+
+
+@pytest.mark.parametrize("path", ["aead.ChaCha20Poly1305", "x25519.from_private_bytes", "ed25519"])
+def test_import_names_a_missing_binding_attribute(path):
+    owner, _, name = path.rpartition(".")
+    code = (
+        "from cryptography.hazmat.bindings._rust import openssl\n"
+        f"delattr(openssl{'.' + owner if owner else ''}, {name!r})\n"
+        "try:\n"
+        "    import pdid.crypto\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crypto.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cryptography" in proc.stdout and name in proc.stdout
 
 
 # ---------------------------------------------------------------------------
