@@ -17,18 +17,19 @@ secret or password-derived value is one constant-time modular
 exponentiation in the same library (`_field_pow`, BN_mod_exp_mont_consttime
 with the base flagged constant-time): the square root that decodes a point
 and checks that it is on the curve, the one square root of each
-hash-to-group map, the inversion that makes the map's sum affine, and
-`scalar_invert` on the OPRF blind (s^(n-2)). The map is the straight-line
-simplified SWU of RFC 9380 (appendix F.2), which computes both candidate
-x and selects without a branch, so its time does not tell which one the
-password took. What is left of Python arithmetic on secret or
-password-derived values, for want of a native path, is multiplication and
-addition mod p or n:
-- the map's field arithmetic and the complete projective addition of its
-  two points (`_sswu`, `_add_complete`);
+hash-to-group map, and `scalar_invert` on the OPRF blind (s^(n-2)). The
+map is the straight-line simplified SWU of RFC 9380 (appendix F.2), which
+computes both candidate x and selects without a branch, so its time does
+not tell which one the password took. Point addition is one
+`EC_POINT_add` in the same library (`_point_add`): `mul` on public HMQV
+values, and the sum of the two maps, which OpenSSL also makes affine. Its
+general-purpose formulas branch on equal, inverse or identity inputs,
+which two password-derived map points are with negligible probability.
+What is left of Python arithmetic on secret or password-derived values,
+for want of a native path, is multiplication and addition mod p or n:
+- the map's field arithmetic (`_sswu`) and the Jacobian coordinates of
+  its two points (`_point_add`);
 - `scalar_add` and `scalar_mul` on the HMQV exponents (`hmqv_key`).
-`mul` adds public HMQV values in affine coordinates with Python's
-`pow(x, -1, p)` (`_add`): a native inversion there was measured slower.
 Symmetric and box primitives are delegated to the
 `cryptography` package: ChaCha20-Poly1305 for AEAD, X25519 +
 ChaCha20-Poly1305 for public-key boxes, Ed25519 for detached signatures.
@@ -73,7 +74,7 @@ from __future__ import annotations
 import ctypes
 import os
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.bindings._rust import openssl as _rust
@@ -187,21 +188,6 @@ _B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
 _GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 _GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 _SQRT_EXPONENT = (_P + 1) // 4  # r^((p+1)/4) is a square root of r if r has one
-
-
-def _add(x1: int, y1: int, x2: int, y2: int) -> tuple[Optional[int], Optional[int]]:
-    """Affine sum of two non-identity points; (None, None) is the identity.
-    Equal x means the points are equal (doubling) or inverse (identity),
-    since P-256 has no point with y = 0."""
-    p = _P
-    if x1 == x2:
-        if y1 != y2:
-            return (None, None)
-        slope = (3 * x1 * x1 + _A) * pow(2 * y1, -1, p) % p
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (slope * slope - x1 - x2) % p
-    return (x3, (slope * (x1 - x3) - y1) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +345,8 @@ def random_scalar() -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Native arithmetic: OpenSSL 3's EC_POINT_mul and BN_mod_exp_mont_consttime
-# through ctypes.
+# Native arithmetic: OpenSSL 3's EC_POINT_mul, EC_POINT_add and
+# BN_mod_exp_mont_consttime through ctypes.
 # ---------------------------------------------------------------------------
 
 _LIBCRYPTO = "libcrypto.so.3"
@@ -374,7 +360,12 @@ _ptr = ctypes.c_void_p
 
 
 def _bind(name: str, restype: Optional[type], *argtypes: type):
-    function = getattr(_libcrypto, name)
+    try:
+        function = getattr(_libcrypto, name)
+    except AttributeError as exc:
+        # EC_POINT_set_Jprojective_coordinates_GFp is deprecated in OpenSSL
+        # 3, and a build configured no-deprecated lacks it.
+        raise ImportError(f"pdid needs {name} from OpenSSL 3's {_LIBCRYPTO}: {exc}") from exc
     function.restype = restype
     function.argtypes = argtypes
     return function
@@ -397,6 +388,10 @@ _EC_POINT_point2oct = _bind(
     _ptr,
 )
 _EC_POINT_mul = _bind("EC_POINT_mul", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr)
+_EC_POINT_add = _bind("EC_POINT_add", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr)
+_EC_POINT_set_Jprojective_coordinates_GFp = _bind(
+    "EC_POINT_set_Jprojective_coordinates_GFp", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr
+)
 _BN_bin2bn = _bind("BN_bin2bn", _ptr, ctypes.c_char_p, ctypes.c_int, _ptr)
 _BN_set_flags = _bind("BN_set_flags", None, _ptr, ctypes.c_int)
 _BN_clear_free = _bind("BN_clear_free", None, _ptr)
@@ -466,6 +461,18 @@ def _field_pow(x: int, e: int, field: tuple[int, int] = _FIELD) -> int:
         _BN_CTX_free(ctx)
 
 
+def _octets(point: int) -> bytes:
+    """An EC_POINT as uncompressed octets: 65 bytes, or one zero byte for
+    the identity."""
+    out = ctypes.create_string_buffer(_OCTETS_LEN)
+    written = _EC_POINT_point2oct(
+        _GROUP, point, _POINT_CONVERSION_UNCOMPRESSED, out, _OCTETS_LEN, None
+    )
+    if not written:
+        raise CryptoError("EC_POINT_point2oct failed")
+    return out.raw[:written]
+
+
 def _point_mul(k: int, b: Optional[GroupElement]) -> bytes:
     """k*b, or k*G when b is None, as uncompressed octets: 65 bytes, or
     one zero byte for the identity. b must not be the identity.
@@ -496,25 +503,48 @@ def _point_mul(k: int, b: Optional[GroupElement]) -> bytes:
             done = _EC_POINT_mul(_GROUP, result, None, point, scalar, None)
         if not done:
             raise CryptoError("EC_POINT_mul failed")
-        out = ctypes.create_string_buffer(_OCTETS_LEN)
-        written = _EC_POINT_point2oct(
-            _GROUP, result, _POINT_CONVERSION_UNCOMPRESSED, out, _OCTETS_LEN, None
-        )
-        if not written:
-            raise CryptoError("EC_POINT_point2oct failed")
-        return out.raw[:written]
+        return _octets(result)
     finally:
         _BN_clear_free(scalar)
         _EC_POINT_clear_free(result)
         _EC_POINT_clear_free(point)
 
 
-def _element(octets: bytes) -> GroupElement:
-    """An element from `EC_POINT_mul`'s uncompressed octets (one zero byte
-    is the identity), which OpenSSL has put on the curve."""
+def _point_add(a: tuple[int, int, int], b: tuple[int, int, int]) -> GroupElement:
+    """a + b for projective points (X, Y, Z) with x = X/Z and y = Y/Z, each
+    coordinate in [0, p), and Z = 0 the identity: one EC_POINT_add, on
+    the Jacobian (XZ, YZ^2, Z) of each, into a's EC_POINT. The Jacobian
+    setter checks nothing, so the sum is built through the checked
+    GroupElement(x, y)."""
+    coordinates = [_BN_new() for _ in range(3)]  # reused for b
+    points = [_EC_POINT_new(_GROUP) for _ in range(2)]
+    try:
+        for (x, y, z), point in zip((a, b), points):
+            values = [v.to_bytes(32, "big") for v in (x * z % _P, y * z * z % _P, z)]
+            if not (
+                all(coordinates)
+                and point
+                and all(_BN_bin2bn(v, 32, bn) for v, bn in zip(values, coordinates))
+                and _EC_POINT_set_Jprojective_coordinates_GFp(_GROUP, point, *coordinates, None)
+            ):
+                raise CryptoError("setting Jacobian coordinates failed")
+        if not _EC_POINT_add(_GROUP, points[0], points[0], points[1], None):
+            raise CryptoError("EC_POINT_add failed")
+        return _element(_octets(points[0]), GroupElement)
+    finally:
+        for bignum in coordinates:
+            _BN_clear_free(bignum)
+        for point in points:
+            _EC_POINT_clear_free(point)
+
+
+def _element(octets: bytes, make: Callable[[int, int], GroupElement] = _point) -> GroupElement:
+    """An element from uncompressed octets (one zero byte is the identity),
+    by default through `_point`, for a point that OpenSSL's `EC_POINT_mul`
+    has put on the curve."""
     if len(octets) == 1:
         return IDENTITY
-    return _point(int.from_bytes(octets[1:33], "big"), int.from_bytes(octets[33:], "big"))
+    return make(int.from_bytes(octets[1:33], "big"), int.from_bytes(octets[33:], "big"))
 
 
 def base_exp(e: Scalar) -> GroupElement:
@@ -545,13 +575,12 @@ def exp(b: GroupElement, e: Scalar) -> GroupElement:
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group operation (point addition)."""
+    """Group operation (point addition), one native `_point_add`."""
     if a.x is None:
         return b
     if b.x is None:
         return a
-    x, y = _add(a.x, a.y, b.x, b.y)
-    return GroupElement(x, y)
+    return _point_add((a.x, a.y, 1), (b.x, b.y, 1))
 
 
 def scalar_add(a: Scalar, b: Scalar) -> Scalar:
@@ -634,41 +663,15 @@ def _sswu(u: int) -> tuple[int, int, int]:
     return (x, y * tv4 % p, tv4)
 
 
-def _add_complete(
-    x1: int, y1: int, z1: int, x2: int, y2: int, z2: int
-) -> tuple[int, int, int]:
-    """Projective sum on a curve with a = -3, with no exceptional case
-    (the identity is Z = 0): Renes, Costello and Batina, EUROCRYPT 2016,
-    Algorithm 4, with its runs of additions folded."""
-    p, b = _P, _B
-    t0 = x1 * x2 % p
-    t1 = y1 * y2 % p
-    t2 = z1 * z2 % p
-    t3 = ((x1 + y1) * (x2 + y2) - t0 - t1) % p
-    t4 = ((y1 + z1) * (y2 + z2) - t1 - t2) % p
-    y3 = ((x1 + z1) * (x2 + z2) - t0 - t2) % p
-    x3 = 3 * (y3 - b * t2) % p
-    z3 = t1 - x3
-    x3 = t1 + x3
-    t2 = 3 * t2
-    y3 = 3 * (b * y3 - t2 - t0) % p
-    t0 = 3 * t0 - t2
-    return ((x3 * t3 - t4 * y3) % p, (x3 * z3 + t0 * y3) % p, (z3 * t4 + t3 * t0) % p)
-
-
 def hash_to_group(label: Label, parts: Sequence[bytes]) -> GroupElement:
-    """Map labeled input to a group element (uniform two-point SWU map).
-    The sum of the two maps is made affine with one Fermat inversion."""
+    """Map labeled input to a group element (uniform two-point SWU map):
+    the two maps are summed by one native `_point_add`."""
     framed = _frame(label, parts)
     us = []
     for i in (1, 2):
         raw = _digest(_SHA512, b"hash-to-group" + bytes([i]) + framed)
         us.append(int.from_bytes(raw[:48], "big") % _P)
-    x, y, z = _add_complete(*_sswu(us[0]), *_sswu(us[1]))
-    if not z:
-        return IDENTITY
-    z_inv = _field_pow(z, _P - 2)
-    return GroupElement(x * z_inv % _P, y * z_inv % _P)
+    return _point_add(_sswu(us[0]), _sswu(us[1]))
 
 
 def _hmac(key: bytes, msg: bytes) -> HMAC:

@@ -367,18 +367,22 @@ class Ledger:
         A proof of the wrong shape (a seq that is not an int, an attestation
         that is not a pair, a node index or signature of the wrong type) is
         refused, not raised on. The proof object the latest append returned
-        is accepted without verifying its signatures: it is immutable, and
-        this ledger's node keys made them over this very message, so the
-        check could only pass. Any other proof, even an equal copy, has
-        every signature verified.
+        is accepted once the record at its seq is `tx`, without hashing the
+        payload or verifying its signatures: it is immutable, its tx_id was
+        computed from that very record, and this ledger's node keys signed
+        this very message, so those checks could only pass. Any other
+        proof, even an equal copy, has its tx_id and every signature
+        checked.
         """
         seq = proof.seq
-        if not isinstance(seq, int) or proof.tx_id != tx.id:
+        if not isinstance(seq, int) or not 0 <= seq < len(self):
             return False
-        if not 0 <= seq < len(self) or self._record(seq)[1] != tx.payload:
+        if self._record(seq)[1] != tx.payload:
             return False
         if proof is self._issued:
             return True
+        if proof.tx_id != tx.id:
+            return False
         message = attestation_message(proof.tx_id, seq)
         valid = set()
         try:

@@ -388,11 +388,16 @@ def test_group_operations_match_affine_reference(seeded):
 
 def test_decoded_and_multiplied_points_equal_checked_construction(seeded):
     # decode_element and exp build their results without the curve check
-    # that GroupElement(x, y) makes; each must equal the checked one.
+    # that GroupElement(x, y) makes, and mul from coordinates that OpenSSL
+    # does not check; each must equal the checked one.
     base = crypto.base_exp(crypto.random_scalar())
     for _ in range(200):
         e = crypto.random_scalar()
-        for element in (crypto.exp(base, e), crypto.decode_element(crypto.base_exp(e).encode())):
+        for element in (
+            crypto.exp(base, e),
+            crypto.decode_element(crypto.base_exp(e).encode()),
+            crypto.mul(base, crypto.base_exp(e)),
+        ):
             checked = crypto.GroupElement(element.x, element.y)
             assert type(element) is crypto.GroupElement
             assert element == checked and hash(element) == hash(checked)
@@ -403,9 +408,9 @@ def test_decoded_and_multiplied_points_equal_checked_construction(seeded):
 
 
 def test_multiplications_agree_across_threads(seeded):
-    # ctypes releases the GIL around EC_POINT_mul and
-    # BN_mod_exp_mont_consttime, so threads multiply and exponentiate at
-    # once; any scratch state they shared, or a write to the shared
+    # ctypes releases the GIL around EC_POINT_mul, EC_POINT_add and
+    # BN_mod_exp_mont_consttime, so threads multiply, add and exponentiate
+    # at once; any scratch state they shared, or a write to the shared
     # Montgomery contexts, would show as a wrong result.
     cases = [(crypto.base_exp(crypto.random_scalar()), crypto.random_scalar()) for _ in range(8)]
 
@@ -415,6 +420,7 @@ def test_multiplications_agree_across_threads(seeded):
                 crypto.exp(b, e),
                 crypto.dh_x(b, e),
                 crypto.base_exp(e),
+                crypto.mul(b, crypto.base_exp(e)),
                 crypto.decode_element(b.encode()),
                 crypto.hash_to_group("threads", [e.encode()]),
                 crypto.scalar_invert(e),
@@ -467,6 +473,7 @@ def calls(count):
         crypto.exp(b, e)
         crypto.dh_x(b, e)
         crypto.base_exp(e)
+        crypto.mul(b, b)
         crypto.decode_element(encoded)
         crypto.hash_to_group("leak", [encoded])
         crypto.scalar_invert(e)
@@ -633,12 +640,12 @@ def test_hash_to_group_is_sum_of_reference_maps(label, parts):
         maps.append(reference_sswu(int.from_bytes(raw[:48], "big") % P256_P)[0])
     assert not point.is_identity
     assert point.y * point.y % P256_P == curve_rhs(point.x)
-    assert (point.x, point.y) == crypto._add(*maps[0], *maps[1])
+    assert (point.x, point.y) == reference_add(*maps)
 
 
 def test_complete_addition_matches_affine_reference(seeded):
     # Doubling, a point plus its inverse, and the identity (z = 0) on either
-    # side need no special case, in any projective scaling.
+    # side, in any projective scaling.
     points = [reference_mult(crypto.random_scalar().value, P256_G) for _ in range(5)]
     points.append(P256_G)
 
@@ -652,7 +659,7 @@ def test_complete_addition_matches_affine_reference(seeded):
     pairs += [(a, (a[0], P256_P - a[1])) for a in points]
     pairs += [(a, None) for a in points] + [(None, a) for a in points] + [(None, None)]
     for a, b in pairs:
-        assert affine(*crypto._add_complete(*projective(a), *projective(b))) == reference_add(a, b)
+        assert as_pair(crypto._point_add(projective(a), projective(b))) == reference_add(a, b)
 
 
 def welch_t(a, b):
@@ -739,7 +746,7 @@ def test_hashing_and_prf_match_the_stdlib_oracle():
         ]
         point = crypto.hash_to_group(label, parts)
         maps = [affine(*crypto._sswu(u)) for u in us]
-        assert (point.x, point.y) == crypto._add(*maps[0], *maps[1])
+        assert (point.x, point.y) == reference_add(*maps)
 
         key, msg = rng.randbytes(32), rng.randbytes(rng.randrange(400))
         tag = crypto.prf(key, msg)
@@ -952,6 +959,31 @@ def test_import_names_a_missing_binding_attribute(path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "cryptography" in proc.stdout and name in proc.stdout
+
+
+def test_import_names_a_missing_libcrypto_symbol():
+    # EC_POINT_set_Jprojective_coordinates_GFp is deprecated in OpenSSL 3;
+    # a stand-in for ctypes.CDLL hides it, as a no-deprecated build would.
+    name = "EC_POINT_set_Jprojective_coordinates_GFp"
+    code = (
+        "import ctypes\n"
+        "class Hiding(ctypes.CDLL):\n"
+        "    def __getattr__(self, name):\n"
+        f"        if name == {name!r}:\n"
+        "            raise AttributeError(name)\n"
+        "        return super().__getattr__(name)\n"
+        "ctypes.CDLL = Hiding\n"
+        "try:\n"
+        "    import pdid.crypto\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crypto.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "libcrypto.so.3" in proc.stdout and name in proc.stdout
 
 
 # ---------------------------------------------------------------------------

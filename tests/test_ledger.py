@@ -702,3 +702,14 @@ def test_a_proof_issued_before_the_latest_append_is_checked_in_full(verify_calls
     assert ledger.tx_included(tx, proof) is reference_included(ledger, tx, proof) is True
     assert len(verify_calls) == 2 * (ledger.f + 1)  # here, then in the reference
 
+
+def test_the_issued_proof_is_recognised_without_hashing_the_payload(monkeypatch):
+    ledger = Ledger()
+    tx = make_tx(b"hashed")
+    proof = ledger.append(tx)
+    copy = InclusionProof(bytes(bytearray(proof.tx_id)), proof.seq, proof.attestations)
+    calls = []
+    tx_id = ledger_module._tx_id
+    monkeypatch.setattr(ledger_module, "_tx_id", lambda payload: calls.append(1) or tx_id(payload))
+    assert ledger.tx_included(tx, proof) and calls == []
+    assert ledger.tx_included(tx, copy) and calls == [1]
