@@ -6,10 +6,16 @@ proof carrying f + 1 node signatures over (transaction id, sequence); with at
 most f byzantine nodes, any f + 1 valid signatures pin the transaction to the
 honest log, so the contract accepts a transaction only after this check.
 A ledger keeps the proof its latest append returned and accepts that very
-object without checking, again, signatures its own node keys just made over
-that message; every other proof is checked signature by signature.
+object without checking signatures that its own node keys make over that
+message; every other proof is checked signature by signature.
 Duplicate transaction ids are rejected at append time, which is also the
 replay defense: a captured transaction can never be placed twice.
+
+An issued proof's signatures are made when its attestations are read, and
+each node derives its Ed25519 key from its seed on first use, so appending,
+opening and accepting the issued proof do no Ed25519 work. Ed25519 signing
+is deterministic (RFC 8032, section 5.1.6), so a signature made on read is
+byte for byte the one signing at append would have made.
 
 When opened with a path the ledger persists as a header (node seeds, shape)
 followed by length-prefixed transaction records, and reloads at startup.
@@ -123,13 +129,41 @@ def _scan(blob: bytes, pos: int, kinds: bytearray, payloads: list[bytes]) -> int
     return last
 
 
-class InclusionProof(crypto.Frozen):
-    """Claim that tx_id sits at seq, attested by the listed nodes."""
+class _Signers:
+    """The slot in which a proof that a ledger issued keeps the nodes that
+    sign its attestations."""
+
+    __slots__ = ("_signers",)
+
+
+class InclusionProof(crypto.Frozen, _Signers):
+    """Claim that tx_id sits at seq, attested by the listed nodes.
+
+    A proof that `Ledger.append` issued leaves `attestations` unset and
+    names its signing nodes instead: each read of the field, equality, hash
+    and repr included, reaches `__getattr__`, which signs anew. The result
+    is not kept, so a proof checked once holds no signatures afterwards and
+    threads that read it share no cache.
+    """
 
     __slots__ = ("tx_id", "seq", "attestations")
     tx_id: bytes
     seq: int
     attestations: tuple[tuple[int, bytes], ...]  # (node index, signature)
+
+    @classmethod
+    def _issued(cls, tx_id: bytes, seq: int, signers: tuple["_Node", ...]) -> "InclusionProof":
+        proof = object.__new__(cls)
+        object.__setattr__(proof, "tx_id", tx_id)
+        object.__setattr__(proof, "seq", seq)
+        object.__setattr__(proof, "_signers", signers)
+        return proof
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only for a slot left unset: an issued proof's attestations.
+        if name != "attestations":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return tuple((node.index, node.attest(self.tx_id, self.seq)) for node in self._signers)
 
 
 def attestation_message(tx_id: bytes, seq: int) -> bytes:
@@ -137,18 +171,34 @@ def attestation_message(tx_id: bytes, seq: int) -> bytes:
 
 
 class _Node:
-    """One simulated consensus node: an index and a signing key."""
+    """One simulated consensus node: an index and a signing seed.
 
-    __slots__ = ("index", "seed", "public", "_key")
+    The Ed25519 key object and public key are derived from the seed on
+    first use, once, under the node's lock, as verification may run on
+    several threads.
+    """
+
+    __slots__ = ("index", "seed", "_lock", "_keys")
 
     def __init__(self, index: int, seed: bytes) -> None:
         self.index = index
         self.seed = seed
-        self._key = crypto.signing_key(seed)
-        self.public = crypto.sig_public(self._key)
+        self._lock = threading.Lock()
+        self._keys: Optional[tuple[crypto.Ed25519PrivateKey, bytes]] = None
+
+    def _derived(self) -> tuple[crypto.Ed25519PrivateKey, bytes]:
+        with self._lock:
+            if self._keys is None:
+                key = crypto.signing_key(self.seed)
+                self._keys = key, crypto.sig_public(key)
+            return self._keys
+
+    @property
+    def public(self) -> bytes:
+        return self._derived()[1]
 
     def attest(self, tx_id: bytes, seq: int) -> bytes:
-        return crypto.sign(self._key, attestation_message(tx_id, seq))
+        return crypto.sign(self._derived()[0], attestation_message(tx_id, seq))
 
 
 class Ledger:
@@ -183,6 +233,7 @@ class Ledger:
         self.n_nodes = n_nodes
         self.f = f
         self.nodes = [_Node(i, seed) for i, seed in enumerate(node_seeds)]
+        self._signers = tuple(self.nodes[: f + 1])  # the nodes that attest appends
         self._payloads: list[bytes] = []
         self._kinds = bytearray()
         # Payloads of the records in the columns. Keyed on payloads: the tx
@@ -344,10 +395,7 @@ class Ledger:
                 self._ids += tx_id
                 self._last_start = self._end
                 self._end += 4 + len(record)
-        attestations = tuple(
-            (node.index, node.attest(tx_id, seq)) for node in self.nodes[: self.f + 1]
-        )
-        proof = InclusionProof(tx_id, seq, attestations)
+        proof = InclusionProof._issued(tx_id, seq, self._signers)
         self._issued = proof
         return proof
 
@@ -369,10 +417,10 @@ class Ledger:
         refused, not raised on. The proof object the latest append returned
         is accepted once the record at its seq is `tx`, without hashing the
         payload or verifying its signatures: it is immutable, its tx_id was
-        computed from that very record, and this ledger's node keys signed
-        this very message, so those checks could only pass. Any other
-        proof, even an equal copy, has its tx_id and every signature
-        checked.
+        computed from that very record, and its attestations are this
+        ledger's node keys signing this very message, so those checks could
+        only pass; reading them here would only sign them. Any other proof,
+        even an equal copy, has its tx_id and every signature checked.
         """
         seq = proof.seq
         if not isinstance(seq, int) or not 0 <= seq < len(self):

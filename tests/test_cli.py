@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pdid
-from pdid import actors, cli
+from pdid import actors, cli, crypto
 from pdid.contract import GpmContract
 from pdid.errors import PdidError
 from pdid.ledger import Ledger
@@ -130,6 +130,36 @@ def test_unknown_user_and_wrong_password_indistinguishable(config_path, capsys, 
     _, wrong_pw = run_json(["--config", config_path, "login", "--username", "real"], capsys)
     _, no_user = run_json(["--config", config_path, "login", "--username", "ghost"], capsys)
     assert wrong_pw == no_user == {"status": "failed", "error": "authentication-failed"}
+
+
+def test_served_commands_do_no_ed25519_work(config_path, capsys, monkeypatch):
+    run(["--config", config_path, "init"], capsys)
+    calls = {"sign": 0, "signing_key": 0, "sig_public": 0}
+
+    def counted(name, original):
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(crypto, name, counted(name, getattr(crypto, name)))
+    issued = []
+    append = Ledger.append
+    monkeypatch.setattr(Ledger, "append", lambda self, tx: issued.append(append(self, tx)) or issued[-1])
+    assert run(["--config", config_path, "register", "--username", "al"], capsys)[0] == 0
+    assert run(["--config", config_path, "login", "--username", "al"], capsys)[0] == 0
+    monkeypatch.setenv(cli.PASSWORD_ENV, "not the password")
+    assert run(["--config", config_path, "login", "--username", "al"], capsys)[0] == 1
+    monkeypatch.setenv(cli.PASSWORD_ENV, "the password")
+    monkeypatch.setenv(cli.NEW_PASSWORD_ENV, "after rotation")
+    assert run(["--config", config_path, "update", "--username", "al"], capsys)[0] == 0
+    assert calls == {"sign": 0, "signing_key": 0, "sig_public": 0}
+    # Reading an issued proof's attestations is what signs them.
+    f = cli.Config.load(config_path).f
+    assert len(issued[0].attestations) == f + 1
+    assert calls["sign"] == f + 1
 
 
 def test_concurrent_saves_do_not_collide(config_path, capsys):

@@ -1,5 +1,6 @@
 """The identity contract: registration, authentication, update, sealing."""
 
+import gc
 import tracemalloc
 
 import pytest
@@ -634,15 +635,18 @@ def test_sealed_blob_changes_with_state():
 
 def test_contract_keeps_at_most_400_bytes_per_registered_user(seeded):
     # The encoded record is 300 B as a bytes object; decoded metadata objects
-    # kept about 845 B per user.
+    # kept about 845 B per user. Each reading follows a collection, so
+    # garbage not yet collected and blocks on free lists do not count.
     ledger, gpm = fresh()
     txs = [actors.client_register(f"user-{i:05d}", b"pw", gpm.public_key) for i in range(300)]
     proofs = [ledger.append(tx) for tx in txs]
     tracemalloc.start()
     try:
+        gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         for tx, proof in zip(txs, proofs):
             gpm.new_pdid(tx, proof)
+        gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import threading
+import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -516,6 +517,33 @@ def test_concurrent_old_sequence_reads_share_one_prefix_load(tmp_path, monkeypat
     reopened.close()
 
 
+def test_concurrent_first_reads_derive_each_node_key_once(monkeypatch):
+    ledger = Ledger()
+    proof = ledger.append(make_tx())
+    derived, results = [], []
+    signing_key = crypto.signing_key
+
+    def slow_signing_key(seed):
+        derived.append(seed)
+        time.sleep(0.01)  # holds a racing reader between its check and its store
+        return signing_key(seed)
+
+    def read():
+        start.wait(timeout=60)
+        results.append(proof.attestations)
+
+    monkeypatch.setattr(crypto, "signing_key", slow_signing_key)
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    start = threading.Barrier(len(threads))
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 and len(set(results)) == 1
+    assert derived == [node.seed for node in ledger.nodes[: ledger.f + 1]]
+
+
 def test_empty_ledger_writes_no_index(tmp_path):
     path = str(tmp_path / "ledger.log")
     Ledger.create(path).close()
@@ -713,3 +741,35 @@ def test_the_issued_proof_is_recognised_without_hashing_the_payload(monkeypatch)
     monkeypatch.setattr(ledger_module, "_tx_id", lambda payload: calls.append(1) or tx_id(payload))
     assert ledger.tx_included(tx, proof) and calls == []
     assert ledger.tx_included(tx, copy) and calls == [1]
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_attestations_read_back_as_signing_at_append_makes_them(seed, f, verify_calls, tmp_path):
+    crypto.set_insecure_seed(seed)
+    path = str(tmp_path / "ledger.log")
+    ledger = Ledger.create(path, 3 * f + 1, f)
+    seeds = [node.seed for node in ledger.nodes]
+
+    def eager(proof):
+        message = attestation_message(proof.tx_id, proof.seq)
+        return tuple((i, crypto.sign(seeds[i], message)) for i in range(f + 1))
+
+    txs = [make_tx(bytes([i])) for i in range(4)]
+    older = ledger.append(txs[0])
+    read_after_close = ledger.append(txs[1])
+    issued = ledger.append(txs[2])
+    assert issued.attestations == eager(issued)
+    assert older.attestations == eager(older)
+    ledger.close()
+    assert read_after_close.attestations == eager(read_after_close)
+    reopened = Ledger.open(path)
+    from_reopened = reopened.append(txs[3])
+    assert from_reopened.attestations == eager(from_reopened)
+    for tx, proof in zip(txs, (older, read_after_close, issued, from_reopened)):
+        copy = InclusionProof(tx.id, proof.seq, eager(proof))
+        assert copy == proof and hash(copy) == hash(proof) and repr(copy) == repr(proof)
+        del verify_calls[:]
+        assert reopened.tx_included(tx, copy)
+        assert len(verify_calls) == f + 1
+    reopened.close()
