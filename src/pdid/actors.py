@@ -9,9 +9,9 @@ dropped as soon as the contract's reply is opened.
 Key schedule (both endpoints; FORMATS.md, "Key schedule"): the HMQV secret
 is sigma = (peer_eph * peer_static^e)^(own_eph + e'*own_static), and
 session_key = PRF(H("hmqv-key", x(sigma)), 0x00), where x(sigma) is the
-32-byte x-coordinate that one OpenSSL multiplication returns (`crypto.dh_x`), so
-sigma itself never reaches Python arithmetic. The client here and the
-contract each derive it with `crypto.hmqv_key`, from the digests e, e'
+32-byte x-coordinate of one OpenSSL multiplication over the two peer
+points, so sigma itself never reaches Python arithmetic. The client here
+and the contract each derive it with `crypto.hmqv_key`, from the digests e, e'
 that `_hmqv_digests` gives the server's phase 1 and the client's finish.
 Key confirmation is a PRF tag over a role label plus the flow transcript,
 so the two directions can never be confused and any tampering with a flow

@@ -32,13 +32,29 @@ REFERENCE_SIZES = {
 }
 
 
+# The iterations run as BLOCKS consecutive blocks. A stage is flagged as
+# noisy when its samples spread wider than their mean, or when its slowest
+# block median exceeds its fastest by more than BLOCK_SPREAD: a phase in
+# which the machine ran slow.
+BLOCKS = 3
+BLOCK_SPREAD = 1.25
+
+
 def _stats(samples: List[float]) -> dict:
     ms = [s * 1000 for s in samples]
+    bounds = [len(ms) * i // BLOCKS for i in range(BLOCKS + 1)]
+    blocks = [ms[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
     return {
         "mean_ms": statistics.fmean(ms),
         "median_ms": statistics.median(ms),
         "stdev_ms": statistics.pstdev(ms) if len(ms) > 1 else 0.0,
+        "block_medians_ms": [statistics.median(block) for block in blocks],
     }
+
+
+def _noisy(st: dict) -> bool:
+    medians = st["block_medians_ms"]
+    return st["stdev_ms"] > st["mean_ms"] or max(medians) > BLOCK_SPREAD * min(medians)
 
 
 LOGIN_STAGES = (
@@ -56,7 +72,9 @@ def run_benchmark(iterations: int = 50) -> dict:
 
     Each login is one `run_login`: its observer stamps the end of each of
     the six `LOGIN_STAGES`, and the bytes it is handed give the message
-    sizes. Measured numbers sit next to the reference timings so
+    sizes. Each stage also reports the medians of its BLOCKS consecutive
+    blocks of iterations, and `noise_flags` names the stages `_noisy`
+    finds. Measured numbers sit next to the reference timings so
     regressions and instantiation differences stay visible.
     """
     ledger = Ledger()
@@ -116,9 +134,7 @@ def run_benchmark(iterations: int = 50) -> dict:
     }
 
     timings = {name: _stats(samples) for name, samples in raw.items()}
-    noise_flags = sorted(
-        name for name, st in timings.items() if st["stdev_ms"] > st["mean_ms"]
-    )
+    noise_flags = sorted(name for name, st in timings.items() if _noisy(st))
     server_mean_s = timings["server_auth_total"]["mean_ms"] / 1000
     return {
         "iterations": iterations,

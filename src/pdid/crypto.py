@@ -8,11 +8,20 @@ detached signatures for ledger attestations.
 The group is NIST P-256 behind this module's own types, so that element
 encodings stay at 33 bytes and the protocol layer can treat the group as an
 opaque module boundary; swapping curves means editing only this file.
-Scalar multiplication (`exp`, `dh_x`, `base_exp`) is one `EC_POINT_mul`
-each in OpenSSL 3's `libcrypto.so.3`, bound through `ctypes` (the library
-CPython's own `ssl` module links), with the scalar flagged constant-time as
-ECDH flags its key; `cryptography` exposes no multiplication by a scalar
-but ECDH, which returns only x. Every square root and every inversion of a
+Scalar multiplication is one `EC_POINTs_mul` a call (`_point_mul`) in
+OpenSSL 3's `libcrypto.so.3`, bound through `ctypes` (the library
+CPython's own `ssl` module links), with each scalar flagged constant-time
+as ECDH flags its key; `cryptography` exposes no multiplication by a
+scalar but ECDH, which returns only x. `exp`, `dh_x` and `base_exp`
+multiply one point or the generator. `hmqv_key` makes the HMQV secret
+x'*Y + (x'*e)*B in one multiplication over two points, which HMQV's
+designer counts as about 1.17 exponentiations rather than two (Krawczyk,
+CRYPTO 2005). OpenSSL sums two points in constant time only in
+P-256's own methods (nistz256, nistp256); its generic `EC_GFp_mont_method`
+takes the Montgomery ladder for a single point and sums two by
+variable-time wNAF. So the import refuses a library whose P-256 group
+reports that method (`_refuse_generic_method`); it compares the method
+pointer only. Every square root and every inversion of a
 secret or password-derived value is one constant-time modular
 exponentiation in the same library (`_field_pow`, BN_mod_exp_mont_consttime
 with the base flagged constant-time): the square root that decodes a point
@@ -21,15 +30,18 @@ hash-to-group map, and `scalar_invert` on the OPRF blind (s^(n-2)). The
 map is the straight-line simplified SWU of RFC 9380 (appendix F.2), which
 computes both candidate x and selects without a branch, so its time does
 not tell which one the password took. Point addition is one
-`EC_POINT_add` in the same library (`_point_add`): `mul` on public HMQV
-values, and the sum of the two maps, which OpenSSL also makes affine. Its
-general-purpose formulas branch on equal, inverse or identity inputs,
-which two password-derived map points are with negligible probability.
+`EC_POINT_add` in the same library (`_point_add`): `mul`, which no
+protocol step calls, and the sum of the two maps, which OpenSSL also
+makes affine. Its general-purpose formulas branch on equal, inverse or
+identity inputs, which two password-derived map points are with
+negligible probability.
 What is left of Python arithmetic on secret or password-derived values,
 for want of a native path, is multiplication and addition mod p or n:
 - the map's field arithmetic (`_sswu`) and the Jacobian coordinates of
   its two points (`_point_add`);
-- `scalar_add` and `scalar_mul` on the HMQV exponents (`hmqv_key`).
+- `scalar_add` and `scalar_mul` on the HMQV exponents (`hmqv_key`): the
+  own exponent x' = own_eph + e_own * own_static, and the product
+  x' * e_peer that multiplies the peer's static key.
 Symmetric and box primitives are delegated to the
 `cryptography` package: ChaCha20-Poly1305 for AEAD, X25519 +
 ChaCha20-Poly1305 for public-key boxes, Ed25519 for detached signatures.
@@ -261,7 +273,7 @@ class GroupElement(Frozen):
 
     Construction validates the curve equation, so any held instance passed a
     membership check: this module's `_point` skips it only for a point that
-    `decode_element` or `EC_POINT_mul` has just put on the curve. The
+    `decode_element` or `EC_POINTs_mul` has just put on the curve. The
     identity has a reserved all-zero encoding that the wire decoder refuses;
     it can only arise from in-process arithmetic.
     """
@@ -345,7 +357,7 @@ def random_scalar() -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Native arithmetic: OpenSSL 3's EC_POINT_mul, EC_POINT_add and
+# Native arithmetic: OpenSSL 3's EC_POINTs_mul, EC_POINT_add and
 # BN_mod_exp_mont_consttime through ctypes.
 # ---------------------------------------------------------------------------
 
@@ -363,8 +375,9 @@ def _bind(name: str, restype: Optional[type], *argtypes: type):
     try:
         function = getattr(_libcrypto, name)
     except AttributeError as exc:
-        # EC_POINT_set_Jprojective_coordinates_GFp is deprecated in OpenSSL
-        # 3, and a build configured no-deprecated lacks it.
+        # EC_POINTs_mul, EC_POINT_set_Jprojective_coordinates_GFp,
+        # EC_GROUP_method_of and EC_GFp_mont_method are deprecated in OpenSSL
+        # 3, and a build configured no-deprecated lacks them.
         raise ImportError(f"pdid needs {name} from OpenSSL 3's {_LIBCRYPTO}: {exc}") from exc
     function.restype = restype
     function.argtypes = argtypes
@@ -372,6 +385,8 @@ def _bind(name: str, restype: Optional[type], *argtypes: type):
 
 
 _EC_GROUP_new_by_curve_name = _bind("EC_GROUP_new_by_curve_name", _ptr, ctypes.c_int)
+_EC_GROUP_method_of = _bind("EC_GROUP_method_of", _ptr, _ptr)
+_EC_GFp_mont_method = _bind("EC_GFp_mont_method", _ptr)
 _EC_POINT_new = _bind("EC_POINT_new", _ptr, _ptr)
 _EC_POINT_clear_free = _bind("EC_POINT_clear_free", None, _ptr)
 _EC_POINT_oct2point = _bind(
@@ -387,7 +402,11 @@ _EC_POINT_point2oct = _bind(
     ctypes.c_size_t,
     _ptr,
 )
-_EC_POINT_mul = _bind("EC_POINT_mul", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr)
+# The points and scalars go as arrays of pointers, passed as c_void_p:
+# ctypes converts an array to that faster than to POINTER(c_void_p).
+_EC_POINTs_mul = _bind(
+    "EC_POINTs_mul", ctypes.c_int, _ptr, _ptr, _ptr, ctypes.c_size_t, _ptr, _ptr, _ptr
+)
 _EC_POINT_add = _bind("EC_POINT_add", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr)
 _EC_POINT_set_Jprojective_coordinates_GFp = _bind(
     "EC_POINT_set_Jprojective_coordinates_GFp", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr
@@ -413,6 +432,22 @@ _OCTETS_LEN = 65  # 0x04 || x || y
 _GROUP = _EC_GROUP_new_by_curve_name(_NID_X9_62_PRIME256V1)
 if not _GROUP:
     raise ImportError(f"{_LIBCRYPTO} has no P-256 group")
+
+
+def _refuse_generic_method(group: int) -> None:
+    """Refuse a group on OpenSSL's generic EC_GFp_mont_method: it takes
+    the constant-time Montgomery ladder for one point only, and sums two
+    points (`hmqv_key`) by variable-time wNAF. P-256 gets its own method
+    from OpenSSL's assembly (nistz256, on x86-64 and aarch64) or from a
+    build configured enable-ec_nistp_64_gcc_128 (nistp256)."""
+    if _EC_GROUP_method_of(group) == _EC_GFp_mont_method():
+        raise ImportError(
+            f"pdid needs a constant-time two-point EC_POINTs_mul: {_LIBCRYPTO}'s P-256"
+            " uses the generic EC_GFp_mont_method, which sums two points by variable-time wNAF"
+        )
+
+
+_refuse_generic_method(_GROUP)
 
 
 def _montgomery(modulus: int) -> tuple[int, int]:
@@ -473,41 +508,54 @@ def _octets(point: int) -> bytes:
     return out.raw[:written]
 
 
-def _point_mul(k: int, b: Optional[GroupElement]) -> bytes:
-    """k*b, or k*G when b is None, as uncompressed octets: 65 bytes, or
-    one zero byte for the identity. b must not be the identity.
+def _point_mul(*terms: tuple[int, Optional[GroupElement]]) -> bytes:
+    """The sum of k*b over the terms (k, b), b None for the generator, as
+    uncompressed octets: 65 bytes, or one zero byte for the identity. An
+    identity b adds nothing. At most one term is the generator's.
 
-    The scalar is a BIGNUM flagged BN_FLG_CONSTTIME, as EC_KEY flags the
-    one ECDH multiplies by, and is cleared when freed. No BN_CTX is
-    passed, so OpenSSL makes its scratch space per call: ctypes releases
-    the GIL around each call, and threads may multiply at once.
+    One EC_POINTs_mul, which runs the group method's multiplication as
+    EC_POINT_mul does; `_refuse_generic_method` keeps its two-point case
+    constant-time. Each scalar is a BIGNUM flagged BN_FLG_CONSTTIME, as
+    EC_KEY flags the one ECDH multiplies by, and is cleared when freed. No
+    BN_CTX is passed, so OpenSSL makes its scratch space per call: ctypes
+    releases the GIL around each call, and threads may multiply at once.
     """
-    scalar = _BN_bin2bn(k.to_bytes(SCALAR_LEN, "big"), SCALAR_LEN, None)
-    if not scalar:
-        raise CryptoError("BN_bin2bn failed")
-    result = point = None
+    generator = result = None
+    scalars: list[int] = []
+    points: list[int] = []
     try:
-        _BN_set_flags(scalar, _BN_FLG_CONSTTIME)
+        for k, b in terms:
+            if b is not None and b.x is None:
+                continue
+            scalar = _BN_bin2bn(k.to_bytes(SCALAR_LEN, "big"), SCALAR_LEN, None)
+            if not scalar:
+                raise CryptoError("BN_bin2bn failed")
+            _BN_set_flags(scalar, _BN_FLG_CONSTTIME)
+            if b is None:
+                generator = scalar
+                continue
+            scalars.append(scalar)
+            points.append(_EC_POINT_new(_GROUP))
+            octets = b"\x04" + b.x.to_bytes(32, "big") + b.y.to_bytes(32, "big")
+            if not (
+                points[-1] and _EC_POINT_oct2point(_GROUP, points[-1], octets, _OCTETS_LEN, None)
+            ):
+                raise CryptoError("EC_POINT_oct2point refused the base")
         result = _EC_POINT_new(_GROUP)
         if not result:
             raise CryptoError("EC_POINT_new failed")
-        if b is None:
-            done = _EC_POINT_mul(_GROUP, result, scalar, None, None, None)
-        else:
-            point = _EC_POINT_new(_GROUP)
-            if not point:
-                raise CryptoError("EC_POINT_new failed")
-            octets = b"\x04" + b.x.to_bytes(32, "big") + b.y.to_bytes(32, "big")
-            if not _EC_POINT_oct2point(_GROUP, point, octets, _OCTETS_LEN, None):
-                raise CryptoError("EC_POINT_oct2point refused the base")
-            done = _EC_POINT_mul(_GROUP, result, None, point, scalar, None)
-        if not done:
-            raise CryptoError("EC_POINT_mul failed")
+        num = len(points)
+        arrays = ((_ptr * num)(*points), (_ptr * num)(*scalars)) if num else (None, None)
+        if not _EC_POINTs_mul(_GROUP, result, generator, num, *arrays, None):
+            raise CryptoError("EC_POINTs_mul failed")
         return _octets(result)
     finally:
-        _BN_clear_free(scalar)
+        _BN_clear_free(generator)
+        for scalar in scalars:
+            _BN_clear_free(scalar)
+        for point in points:
+            _EC_POINT_clear_free(point)
         _EC_POINT_clear_free(result)
-        _EC_POINT_clear_free(point)
 
 
 def _point_add(a: tuple[int, int, int], b: tuple[int, int, int]) -> GroupElement:
@@ -540,7 +588,7 @@ def _point_add(a: tuple[int, int, int], b: tuple[int, int, int]) -> GroupElement
 
 def _element(octets: bytes, make: Callable[[int, int], GroupElement] = _point) -> GroupElement:
     """An element from uncompressed octets (one zero byte is the identity),
-    by default through `_point`, for a point that OpenSSL's `EC_POINT_mul`
+    by default through `_point`, for a point that OpenSSL's `EC_POINTs_mul`
     has put on the curve."""
     if len(octets) == 1:
         return IDENTITY
@@ -549,7 +597,7 @@ def _element(octets: bytes, make: Callable[[int, int], GroupElement] = _point) -
 
 def base_exp(e: Scalar) -> GroupElement:
     """Generator raised to e (OpenSSL's constant-time fixed-base multiplication)."""
-    return _element(_point_mul(e.value, None))
+    return _element(_point_mul((e.value, None)))
 
 
 def dh_x(b: GroupElement, e: Scalar) -> bytes:
@@ -563,19 +611,18 @@ def dh_x(b: GroupElement, e: Scalar) -> bytes:
         raise InvalidElement("the identity base has no Diffie-Hellman value")
     if e.value == 0:
         raise InvalidScalar("a zero exponent has no Diffie-Hellman value")
-    return _point_mul(e.value, b)[1:33]
+    return _point_mul((e.value, b))[1:33]
 
 
 def exp(b: GroupElement, e: Scalar) -> GroupElement:
     """b raised to e; identity base or zero exponent give the identity.
     A caller that needs only x(b^e) takes it from `dh_x`."""
-    if b.x is None:
-        return IDENTITY
-    return _element(_point_mul(e.value, b))
+    return _element(_point_mul((e.value, b)))
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group operation (point addition), one native `_point_add`."""
+    """Group operation (point addition), one native `_point_add`. No
+    protocol step calls it: `hmqv_key` adds inside its multiplication."""
     if a.x is None:
         return b
     if b.x is None:
@@ -702,12 +749,19 @@ def hmqv_key(
 ) -> bytes:
     """One endpoint's HMQV session key (FORMATS.md, "Key schedule"):
     PRF(H("hmqv-key", [x(sigma)]), 0x00) with sigma = (peer_eph *
-    peer_static^e_peer)^(own_eph + e_own * own_static), each digest reduced
-    by `scalar_from_digest`. An identity sigma raises CryptoError (`dh_x`)."""
-    base = mul(peer_eph, exp(peer_static, scalar_from_digest(e_peer)))
+    peer_static^e_peer)^x' and x' = own_eph + e_own * own_static, each
+    digest reduced by `scalar_from_digest`. sigma is one two-point
+    multiplication, x'*peer_eph + (x' * e_peer)*peer_static. A zero x'
+    raises InvalidScalar and an identity sigma InvalidElement, as `dh_x`
+    refuses them."""
     exponent = scalar_add(own_eph, scalar_mul(scalar_from_digest(e_own), own_static))
-    raw_key = hash_parts("hmqv-key", [dh_x(base, exponent)])
-    return prf(raw_key, b"\x00")
+    if exponent.value == 0:
+        raise InvalidScalar("a zero exponent has no Diffie-Hellman value")
+    peer_exponent = scalar_mul(exponent, scalar_from_digest(e_peer))
+    sigma = _point_mul((exponent.value, peer_eph), (peer_exponent.value, peer_static))
+    if len(sigma) == 1:
+        raise InvalidElement("the HMQV secret is the identity")
+    return prf(hash_parts("hmqv-key", [sigma[1:33]]), b"\x00")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -438,6 +439,7 @@ def test_bench_json_structure(capsys):
         assert stats["median_ms"] > 0
         assert stats["mean_ms"] > 0
         assert stats["stdev_ms"] >= 0
+        assert len(stats["block_medians_ms"]) == 3
     assert out["reference_ms"] == {
         "client_register": 7.0,
         "client_auth_total": 10.0,
@@ -477,6 +479,29 @@ def test_bench_login_stages_are_disjoint_parts_of_the_round_trip(capsys):
         "gpm_auth", "server_phase2", "client_auth_finish",
     )
     assert sum(t[s]["mean_ms"] for s in stages) <= t["login_roundtrip"]["mean_ms"]
+
+
+def test_bench_flags_a_stage_with_one_slow_block(monkeypatch):
+    # The contract's and the client's HMQV run 2 ms slow in the second of
+    # three blocks of three logins: too little for the stage's spread to
+    # pass its mean, enough for its block medians to differ.
+    from pdid import bench
+
+    hmqv_key, calls = crypto.hmqv_key, []
+
+    def slow_in_block_two(*args):
+        calls.append(1)
+        if 6 < len(calls) <= 12:  # two calls a login
+            time.sleep(0.002)
+        return hmqv_key(*args)
+
+    monkeypatch.setattr(crypto, "hmqv_key", slow_in_block_two)
+    out = bench.run_benchmark(9)
+    assert len(calls) == 18
+    for stage in ("gpm_auth", "client_auth_finish"):
+        first, slow, last = out["timings_ms"][stage]["block_medians_ms"]
+        assert slow > 1.25 * max(first, last)
+        assert stage in out["noise_flags"]
 
 
 def test_import_loads_no_module_a_command_does_not_run():

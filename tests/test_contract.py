@@ -470,32 +470,37 @@ def test_auth_whose_hmqv_secret_is_the_identity_is_malformed(manual_clock, degen
     assert len(gpm._attempts[b"alice"]) == 1
 
 
-def test_a_login_makes_five_exp_and_two_dh_x(monkeypatch):
+def test_a_login_makes_three_exp_and_two_two_point_multiplications(monkeypatch):
     ledger, gpm = fresh()
     register(gpm, ledger, b"alice", b"pw")
-    calls = {"exp": 0, "dh_x": 0}
+    calls = {"exp": 0, "dh_x": 0, "two-point": 0}
+    exp, dh_x, point_mul = crypto.exp, crypto.dh_x, crypto._point_mul
 
-    def counted(name):
-        original = getattr(crypto, name, None)
+    def counted_exp(*args):
+        calls["exp"] += 1
+        return exp(*args)
 
-        def spy(*args):
-            calls[name] += 1
-            return original(*args)
+    def counted_dh_x(*args):
+        calls["dh_x"] += 1
+        return dh_x(*args)
 
-        return spy
+    def counted_point_mul(*terms):
+        calls["two-point"] += len(terms) == 2
+        return point_mul(*terms)
 
-    for name in calls:
-        monkeypatch.setattr(crypto, name, counted(name), raising=False)
-    monkeypatch.setattr(oprf, "exp", crypto.exp)  # oprf binds exp by name
+    monkeypatch.setattr(crypto, "exp", counted_exp)
+    monkeypatch.setattr(crypto, "dh_x", counted_dh_x)
+    monkeypatch.setattr(crypto, "_point_mul", counted_point_mul)
+    monkeypatch.setattr(oprf, "exp", counted_exp)  # oprf binds exp by name
     actors.run_login(gpm, ledger, b"alice", b"pw", b"srv")
-    # OPRF blind, evaluate and unblind, one static-key step per endpoint,
-    # then the HMQV secret's x at each endpoint.
-    assert calls == {"exp": 5, "dh_x": 2}
-    calls.update(exp=0, dh_x=0)
+    # OPRF blind, evaluate and unblind, then the HMQV secret at each
+    # endpoint, one two-point multiplication each.
+    assert calls == {"exp": 3, "dh_x": 0, "two-point": 2}
+    calls.update({name: 0 for name in calls})
     with pytest.raises(WrongPassword):
         actors.run_login(gpm, ledger, b"alice", b"typo", b"srv")
     # The client stops when the envelope does not open.
-    assert calls == {"exp": 4, "dh_x": 1}
+    assert calls == {"exp": 3, "dh_x": 0, "two-point": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,95 @@ def test_hmqv_key_mirror_images_agree_with_the_integer_schedule(seeded):
         crypto.hmqv_key(crypto.exp(A, crypto.Scalar(-u % n)), A, e_u, y, b, e_s)
 
 
+def three_step_hmqv_key(peer_eph, peer_static, e_peer, own_eph, own_static, e_own):
+    """HMQV's key in three group operations, the oracle for hmqv_key's
+    single one: dh_x(mul(peer_eph, exp(peer_static, e)), x')."""
+    base = crypto.mul(peer_eph, crypto.exp(peer_static, crypto.scalar_from_digest(e_peer)))
+    own = crypto.scalar_add(
+        own_eph, crypto.scalar_mul(crypto.scalar_from_digest(e_own), own_static)
+    )
+    return crypto.prf(crypto.hash_parts("hmqv-key", [crypto.dh_x(base, own)]), b"\x00")
+
+
+def hmqv_outcome(schedule, args):
+    try:
+        return schedule(*args)
+    except CryptoError as exc:
+        return type(exc)
+
+
+def test_hmqv_key_equals_the_three_step_schedule(seeded):
+    n = crypto.GROUP_ORDER
+    zero_digests = (bytes(32), n.to_bytes(32, "little"))  # both reduce to 0
+    cases = []
+    for i in range(300):
+        peer_eph, peer_static = (crypto.base_exp(crypto.random_scalar()) for _ in range(2))
+        own_eph, own_static = crypto.random_scalar(), crypto.random_scalar()
+        e_peer, e_own = crypto.random_bytes(32), crypto.random_bytes(32)
+        cases.append((peer_eph, peer_static, e_peer, own_eph, own_static, e_own))
+        if i < 2:
+            zero = zero_digests[i]
+            cases.append((peer_eph, peer_static, zero, own_eph, own_static, e_own))
+            cases.append((peer_eph, peer_static, e_peer, own_eph, own_static, zero))
+            cases.append((peer_static, peer_static, e_peer, own_eph, own_static, e_own))
+            # In-process identities (the wire refuses them) drop their term.
+            cases.append((crypto.IDENTITY, peer_static, e_peer, own_eph, own_static, e_own))
+            cases.append((peer_eph, crypto.IDENTITY, e_peer, own_eph, own_static, e_own))
+    *_, e_peer, own_eph, own_static, e_own = cases[0]
+    y, b = crypto.random_scalar(), crypto.random_scalar()
+    peer_eph, peer_static = crypto.base_exp(y), crypto.base_exp(b)
+    s, u = crypto.scalar_from_digest(e_peer).value, crypto.scalar_from_digest(e_own).value
+    # An own exponent x' that makes sigma = k*G, whose x has a leading zero byte.
+    k = next(k for k in range(1, 10_000) if crypto.base_exp(crypto.Scalar(k)).x < 1 << 248)
+    x_own = k * pow(y.value + s * b.value, -1, n) % n
+    leading_zero = (
+        peer_eph, peer_static, e_peer,
+        crypto.Scalar((x_own - u * own_static.value) % n), own_static, e_own,
+    )
+    sigma_x = crypto.dh_x(crypto.GENERATOR, crypto.Scalar(k))
+    assert sigma_x[0] == 0
+    assert crypto.hmqv_key(*leading_zero) == crypto.prf(
+        crypto.hash_parts("hmqv-key", [sigma_x]), b"\x00"
+    )
+    cases.append(leading_zero)
+    zero_own = crypto.Scalar(-u * own_static.value % n)
+    cases.append((peer_eph, peer_static, e_peer, zero_own, own_static, e_own))
+    identity_base = crypto.exp(peer_static, crypto.Scalar(-s % n))
+    cases.append((identity_base, peer_static, e_peer, own_eph, own_static, e_own))
+    outcomes = [hmqv_outcome(crypto.hmqv_key, case) for case in cases]
+    assert outcomes == [hmqv_outcome(three_step_hmqv_key, case) for case in cases]
+    assert outcomes[-2:] == [InvalidScalar, InvalidElement]
+    assert all(isinstance(key, bytes) for key in outcomes[:-2])
+
+
+def test_p256_is_not_on_the_generic_method(monkeypatch):
+    # The generic method sums hmqv_key's two points by variable-time wNAF.
+    assert crypto._EC_GROUP_method_of(crypto._GROUP) != crypto._EC_GFp_mont_method()
+    crypto._refuse_generic_method(crypto._GROUP)
+    monkeypatch.setattr(crypto, "_EC_GROUP_method_of", lambda group: crypto._EC_GFp_mont_method())
+    with pytest.raises(ImportError, match="EC_GFp_mont_method"):
+        crypto._refuse_generic_method(crypto._GROUP)
+
+
+def test_the_guard_refuses_a_group_that_is_on_the_generic_method():
+    # A curve over a prime OpenSSL has no dedicated code for is built on
+    # EC_GFp_mont_method.
+    new_curve = crypto._bind("EC_GROUP_new_curve_GFp", crypto._ptr, *[crypto._ptr] * 4)
+    free = crypto._bind("EC_GROUP_free", None, crypto._ptr)
+    bignums = [
+        crypto._BN_bin2bn(v.to_bytes(32, "big"), 32, None) for v in (2**255 - 19, 3, 7)
+    ]
+    group = new_curve(*bignums, None)
+    try:
+        assert group
+        with pytest.raises(ImportError, match="EC_GFp_mont_method"):
+            crypto._refuse_generic_method(group)
+    finally:
+        free(group)
+        for bignum in bignums:
+            crypto._BN_clear_free(bignum)
+
+
 def test_mul_is_group_addition():
     for _ in range(20):
         a, b = crypto.random_scalar(), crypto.random_scalar()
@@ -408,7 +497,7 @@ def test_decoded_and_multiplied_points_equal_checked_construction(seeded):
 
 
 def test_multiplications_agree_across_threads(seeded):
-    # ctypes releases the GIL around EC_POINT_mul, EC_POINT_add and
+    # ctypes releases the GIL around EC_POINTs_mul, EC_POINT_add and
     # BN_mod_exp_mont_consttime, so threads multiply, add and exponentiate
     # at once; any scratch state they shared, or a write to the shared
     # Montgomery contexts, would show as a wrong result.
@@ -421,6 +510,7 @@ def test_multiplications_agree_across_threads(seeded):
                 crypto.dh_x(b, e),
                 crypto.base_exp(e),
                 crypto.mul(b, crypto.base_exp(e)),
+                crypto.hmqv_key(b, crypto.base_exp(e), e.encode(), e, e, e.encode()),
                 crypto.decode_element(b.encode()),
                 crypto.hash_to_group("threads", [e.encode()]),
                 crypto.scalar_invert(e),
@@ -474,6 +564,7 @@ def calls(count):
         crypto.dh_x(b, e)
         crypto.base_exp(e)
         crypto.mul(b, b)
+        crypto.hmqv_key(b, b, encoded[1:], e, e, encoded[1:])
         crypto.decode_element(encoded)
         crypto.hash_to_group("leak", [encoded])
         crypto.scalar_invert(e)
