@@ -194,7 +194,7 @@ def load_deployment(config: Config) -> Deployment:
 def _get_password(env_var: str, prompt: str) -> bytes:
     value = os.environ.get(env_var)
     if value is not None:
-        return value.encode("utf-8")
+        return os.fsencode(value)  # the bytes the environment holds
     import getpass
 
     try:
@@ -271,22 +271,24 @@ def cmd_register(args) -> dict:
     config = load_config(args.config)
     password = _get_password(PASSWORD_ENV, "password: ")
     with load_deployment(config) as dep:
-        run_register(dep.gpm, dep.ledger, args.username.encode(), password)
+        run_register(dep.gpm, dep.ledger, os.fsencode(args.username), password)
     return {"status": "registered", "username": args.username}
 
 
 def cmd_login(args) -> dict:
     config = load_config(args.config)
     password = _get_password(PASSWORD_ENV, "password: ")
+    server = os.fsencode(args.server)
     with load_deployment(config) as dep:
         client_key, server_key = run_login(
-            dep.gpm, dep.ledger, args.username.encode(), password, args.server.encode()
+            dep.gpm, dep.ledger, os.fsencode(args.username), password, server
         )
     fingerprint = crypto.hash_parts("session-key-fingerprint", [client_key]).hex()[:16]
     return {
         "status": "authenticated",
         "username": args.username,
-        "server": args.server,
+        # A byte that is not UTF-8 shows as \xff, which any stdout can print.
+        "server": server.decode("utf-8", "backslashreplace"),
         "keys_match": client_key == server_key,
         "session_key_fingerprint": fingerprint,
     }
@@ -297,7 +299,7 @@ def cmd_update(args) -> dict:
     old_password = _get_password(PASSWORD_ENV, "current password: ")
     new_password = _get_password(NEW_PASSWORD_ENV, "new password: ")
     with load_deployment(config) as dep:
-        run_update(dep.gpm, dep.ledger, args.username.encode(), old_password, new_password)
+        run_update(dep.gpm, dep.ledger, os.fsencode(args.username), old_password, new_password)
     return {"status": "password-updated", "username": args.username}
 
 

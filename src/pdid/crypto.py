@@ -1,40 +1,34 @@
 """Primitive layer: group arithmetic, hashing, PRF, AEAD, PKE, signatures.
 
-The protocol needs a prime-order group with fixed-width compressed element
-encodings, a labeled hash usable both as a digest and as a map into the
-group, a PRF, symmetric authenticated encryption, public-key encryption, and
-detached signatures for ledger attestations.
+The group is NIST P-256 behind this module's own types, with 33-byte
+compressed element encodings; swapping curves means editing only this
+file. SHA-2, HMAC, AEAD (ChaCha20-Poly1305), public-key boxes (X25519 +
+ChaCha20-Poly1305) and Ed25519 signatures come from the `cryptography`
+package, the last three from its Rust binding. All randomness flows
+through `random_bytes`, which tests can make deterministic with
+`set_insecure_seed`.
 
-The group is NIST P-256 behind this module's own types, so that element
-encodings stay at 33 bytes and the protocol layer can treat the group as an
-opaque module boundary; swapping curves means editing only this file.
-Scalar multiplication is one `EC_POINTs_mul` a call (`_point_mul`) in
-OpenSSL 3's `libcrypto.so.3`, bound through `ctypes` (the library
-CPython's own `ssl` module links), with each scalar flagged constant-time
-as ECDH flags its key; `cryptography` exposes no multiplication by a
-scalar but ECDH, which returns only x. `exp`, `dh_x` and `base_exp`
-multiply one point or the generator. `hmqv_key` makes the HMQV secret
-x'*Y + (x'*e)*B in one multiplication over two points, which HMQV's
-designer counts as about 1.17 exponentiations rather than two (Krawczyk,
-CRYPTO 2005). OpenSSL sums two points in constant time only in
-P-256's own methods (nistz256, nistp256); its generic `EC_GFp_mont_method`
-takes the Montgomery ladder for a single point and sums two by
+The constant-time contract. Every operation of the group on a secret or
+password-derived value runs natively, in OpenSSL 3's `libcrypto.so.3`
+bound through `ctypes` (`cryptography` multiplies by a scalar only in
+ECDH, which returns only x):
+- `_point_mul`, one `EC_POINTs_mul` with each scalar flagged
+  BN_FLG_CONSTTIME, is every scalar multiplication: `exp`, `base_exp` and
+  `hmqv_key`, which makes the HMQV secret x'*Y + (x'*e)*B over two points;
+- `_point_add`, one `EC_POINT_add`, sums the hash-to-group map's two
+  points;
+- `_field_pow`, one `BN_mod_exp_mont_consttime` with the base flagged
+  constant-time, is every square root (decoding a point, the one square
+  root of each map) and every inversion (`scalar_invert` on the OPRF
+  blind).
+OpenSSL sums two points in constant time only in P-256's own methods
+(nistz256, nistp256); its generic `EC_GFp_mont_method` does it by
 variable-time wNAF. So the import refuses a library whose P-256 group
-reports that method (`_refuse_generic_method`); it compares the method
-pointer only. Every square root and every inversion of a
-secret or password-derived value is one constant-time modular
-exponentiation in the same library (`_field_pow`, BN_mod_exp_mont_consttime
-with the base flagged constant-time): the square root that decodes a point
-and checks that it is on the curve, the one square root of each
-hash-to-group map, and `scalar_invert` on the OPRF blind (s^(n-2)). The
-map is the straight-line simplified SWU of RFC 9380 (appendix F.2), which
-computes both candidate x and selects without a branch, so its time does
-not tell which one the password took. Point addition is one
-`EC_POINT_add` in the same library (`_point_add`): `mul`, which no
-protocol step calls, and the sum of the two maps, which OpenSSL also
-makes affine. Its general-purpose formulas branch on equal, inverse or
-identity inputs, which two password-derived map points are with
-negligible probability.
+reports that method (`_refuse_generic_method`). The map is the
+straight-line simplified SWU of RFC 9380 (appendix F.2): it computes both
+candidate x and selects without a branch, so its time does not tell which
+one the password took.
+
 What is left of Python arithmetic on secret or password-derived values,
 for want of a native path, is multiplication and addition mod p or n:
 - the map's field arithmetic (`_sswu`) and the Jacobian coordinates of
@@ -42,43 +36,8 @@ for want of a native path, is multiplication and addition mod p or n:
 - `scalar_add` and `scalar_mul` on the HMQV exponents (`hmqv_key`): the
   own exponent x' = own_eph + e_own * own_static, and the product
   x' * e_peer that multiplies the peer's static key.
-Symmetric and box primitives are delegated to the
-`cryptography` package: ChaCha20-Poly1305 for AEAD, X25519 +
-ChaCha20-Poly1305 for public-key boxes, Ed25519 for detached signatures.
-Their classes and key constructors come straight from its Rust binding,
-`cryptography.hazmat.bindings._rust.openssl`: they are the objects its
-public wrappers return, but the X25519 wrapper imports the cffi
-`backends.openssl` backend (with `ec`, `rsa` and `padding`) to ask
-`x25519_supported()`, 8-10 ms on a process's first key, `ciphers.aead`
-loads the `ciphers` package and the `decrepit` ciphers (about 4 ms), and
-the key modules load `_serialization` (2-CPU machine, bytecode cached).
-The binding's layout is not public API, so `pyproject.toml` asks for the
-release this was tested with, a missing name fails the import with an
-`ImportError` that names it, and `tests/test_crypto.py` checks keys,
-boxes and signatures against the public wrappers. Public keys leave
-OpenSSL as raw bytes (`public_bytes_raw`), so this module does not import
-`cryptography`'s `serialization` package, which loads the SSH and RSA code
-with it; nor does it import its `ec` module, whose P-256 keys the native
-calls replace.
-
-SHA-256, SHA-512 and HMAC-SHA256 also run through `cryptography`, and
-randomness is `os.urandom` (what `secrets.token_bytes` returns), so a
-`pdid` process does not load the stdlib's `_hashlib`: importing `hmac`,
-`hashlib` and `secrets` cost 6-8 ms a command (`python -X importtime`,
-2-CPU machine). A hash of a short input costs about 1.5 µs more this way
-(2.2 µs against 0.7 µs on 150 bytes); HMAC is at parity. `cryptography`'s
-`constant_time` imports the stdlib `hmac`, so tags are checked with
-`HMAC.verify` (`prf_verify`). The system `libcrypto.so.3` behind
-`_hashlib` is loaded all the same, for the native arithmetic: importing
-`ctypes` costs about 3.6 ms a command and opening the library about 2 ms.
-
-`Frozen` is the base of the immutable value types here and in the layers
-above. Its one `__init__` sets the fields a subclass names in `__slots__`,
-so importing them generates no code; the hot `Scalar` and `GroupElement`
-keep their own, which also check their values.
-
-All randomness flows through :func:`random_bytes`, which can be swapped for a
-deterministic stream in tests via :func:`set_insecure_seed`.
+`EC_POINT_add` branches on equal, inverse or identity inputs, which two
+password-derived map points are with negligible probability.
 """
 
 from __future__ import annotations
@@ -102,8 +61,8 @@ from .errors import (
 )
 
 try:
-    # What `cryptography`'s public wrappers return, without their imports
-    # (see the module docstring).
+    # What `cryptography`'s public wrappers return, without the modules
+    # those wrappers import.
     ChaCha20Poly1305 = _rust.aead.ChaCha20Poly1305
     X25519PrivateKey = _rust.x25519.X25519PrivateKey
     _x25519_private = _rust.x25519.from_private_bytes
@@ -197,8 +156,6 @@ _P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
 GROUP_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 _A = _P - 3
 _B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
-_GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
-_GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 _SQRT_EXPONENT = (_P + 1) // 4  # r^((p+1)/4) is a square root of r if r has one
 
 
@@ -305,7 +262,6 @@ class GroupElement(Frozen):
 
 
 IDENTITY = GroupElement(None, None)
-GENERATOR = GroupElement(_GX, _GY)
 _set_x = GroupElement.x.__set__
 _set_y = GroupElement.y.__set__
 
@@ -600,34 +556,9 @@ def base_exp(e: Scalar) -> GroupElement:
     return _element(_point_mul((e.value, None)))
 
 
-def dh_x(b: GroupElement, e: Scalar) -> bytes:
-    """x(b^e) as 32 big-endian bytes, from one native multiplication.
-
-    This is the ECC CDH primitive's shared secret Z (NIST SP 800-56A
-    Rev. 3, section 5.7.1.2). An identity base or a zero exponent, whose
-    result has no x, is refused.
-    """
-    if b.x is None:
-        raise InvalidElement("the identity base has no Diffie-Hellman value")
-    if e.value == 0:
-        raise InvalidScalar("a zero exponent has no Diffie-Hellman value")
-    return _point_mul((e.value, b))[1:33]
-
-
 def exp(b: GroupElement, e: Scalar) -> GroupElement:
-    """b raised to e; identity base or zero exponent give the identity.
-    A caller that needs only x(b^e) takes it from `dh_x`."""
+    """b raised to e; identity base or zero exponent give the identity."""
     return _element(_point_mul((e.value, b)))
-
-
-def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group operation (point addition), one native `_point_add`. No
-    protocol step calls it: `hmqv_key` adds inside its multiplication."""
-    if a.x is None:
-        return b
-    if b.x is None:
-        return a
-    return _point_add((a.x, a.y, 1), (b.x, b.y, 1))
 
 
 def scalar_add(a: Scalar, b: Scalar) -> Scalar:
@@ -752,8 +683,8 @@ def hmqv_key(
     peer_static^e_peer)^x' and x' = own_eph + e_own * own_static, each
     digest reduced by `scalar_from_digest`. sigma is one two-point
     multiplication, x'*peer_eph + (x' * e_peer)*peer_static. A zero x'
-    raises InvalidScalar and an identity sigma InvalidElement, as `dh_x`
-    refuses them."""
+    raises InvalidScalar and an identity sigma, which has no x,
+    InvalidElement."""
     exponent = scalar_add(own_eph, scalar_mul(scalar_from_digest(e_own), own_static))
     if exponent.value == 0:
         raise InvalidScalar("a zero exponent has no Diffie-Hellman value")

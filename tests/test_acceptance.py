@@ -180,20 +180,23 @@ def test_criterion_5_agreement_identity_1000_tuples():
         x_u, p_u = crypto.random_scalar(), crypto.random_scalar()
         x_s, p_s = crypto.random_scalar(), crypto.random_scalar()
         e_u, e_s = crypto.random_scalar(), crypto.random_scalar()
-        client_side = crypto.exp(
-            crypto.mul(crypto.base_exp(x_s), crypto.exp(crypto.base_exp(p_s), e_s)),
-            crypto.scalar_add(x_u, crypto.scalar_mul(e_u, p_u)),
+        # scalar_from_digest maps each exponent's encoding back to it.
+        d_u, d_s = e_u.encode(), e_s.encode()
+        client_side = crypto.hmqv_key(
+            crypto.base_exp(x_s), crypto.base_exp(p_s), d_s, x_u, p_u, d_u
         )
-        server_side = crypto.exp(
-            crypto.mul(crypto.base_exp(x_u), crypto.exp(crypto.base_exp(p_u), e_u)),
-            crypto.scalar_add(x_s, crypto.scalar_mul(e_s, p_s)),
+        server_side = crypto.hmqv_key(
+            crypto.base_exp(x_u), crypto.base_exp(p_u), d_u, x_s, p_s, d_s
         )
-        oracle = crypto.base_exp(
+        sigma = crypto.base_exp(
             crypto.Scalar(
                 (x_u.value + e_u.value * p_u.value)
                 * (x_s.value + e_s.value * p_s.value)
                 % q
             )
+        )
+        oracle = crypto.prf(
+            crypto.hash_parts("hmqv-key", [sigma.x.to_bytes(32, "big")]), b"\x00"
         )
         if client_side == server_side == oracle:
             matched += 1

@@ -1,10 +1,9 @@
 """Client and server protocol roles: agreement, blindness, one-shot state.
 
 The key-agreement tests check both endpoints against an integer-arithmetic
-oracle: the shared point must equal the generator raised to
-(x_u + e_u*p_u) * (x_s + e_s*p_s) computed directly on scalars, each
-endpoint's `dh_x` must equal its x-coordinate, and a login's session keys
-must be the PRF of that x-coordinate's hash.
+oracle: each endpoint's `hmqv_key`, and a login's session keys, must be
+the PRF of the hashed x-coordinate of the generator raised to
+(x_u + e_u*p_u) * (x_s + e_s*p_s), computed directly on scalars.
 """
 
 import pytest
@@ -122,33 +121,30 @@ def test_different_server_identity_changes_key():
 # ---------------------------------------------------------------------------
 
 
-def _endpoint_inputs(peer_eph, peer_static, e_peer, own_eph, e_own, own_static):
-    """One endpoint's HMQV (base, exponent)."""
-    base = crypto.mul(peer_eph, crypto.exp(peer_static, e_peer))
-    return base, crypto.scalar_add(own_eph, crypto.scalar_mul(e_own, own_static))
-
-
 def test_agreement_identity_matches_integer_oracle():
     q = crypto.GROUP_ORDER
     for _ in range(50):
         x_u, p_u = crypto.random_scalar(), crypto.random_scalar()
         x_s, p_s = crypto.random_scalar(), crypto.random_scalar()
         e_u, e_s = crypto.random_scalar(), crypto.random_scalar()
+        # scalar_from_digest maps each exponent's encoding back to it.
+        d_u, d_s = e_u.encode(), e_s.encode()
         X_u, P_u = crypto.base_exp(x_u), crypto.base_exp(p_u)
         X_s, P_s = crypto.base_exp(x_s), crypto.base_exp(p_s)
 
-        client_side = _endpoint_inputs(X_s, P_s, e_s, x_u, e_u, p_u)
-        server_side = _endpoint_inputs(X_u, P_u, e_u, x_s, e_s, p_s)
-        oracle = crypto.base_exp(
+        client_side = crypto.hmqv_key(X_s, P_s, d_s, x_u, p_u, d_u)
+        server_side = crypto.hmqv_key(X_u, P_u, d_u, x_s, p_s, d_s)
+        sigma = crypto.base_exp(
             crypto.Scalar(
                 (x_u.value + e_u.value * p_u.value)
                 * (x_s.value + e_s.value * p_s.value)
                 % q
             )
         )
-        assert crypto.exp(*client_side) == crypto.exp(*server_side) == oracle
-        oracle_x = oracle.x.to_bytes(32, "big")
-        assert crypto.dh_x(*client_side) == crypto.dh_x(*server_side) == oracle_x
+        oracle = crypto.prf(
+            crypto.hash_parts("hmqv-key", [sigma.x.to_bytes(32, "big")]), b"\x00"
+        )
+        assert client_side == server_side == oracle
 
 
 def test_login_session_key_is_the_prf_of_the_hashed_x_coordinate():

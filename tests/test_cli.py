@@ -1,6 +1,7 @@
 """The command-line harness: exit codes, JSON output, deployments on disk."""
 
 import getpass
+import importlib.util
 import inspect
 import json
 import os
@@ -601,6 +602,23 @@ def test_benchmark_entry_points_stay_bound():
     assert cli.run_login is actors.run_login
     assert callable(cli.load_config) and callable(cli.load_deployment)
     assert callable(cli.Deployment.__dict__["save"])
+    # The tracer wraps each function it names with getattr on the module,
+    # and each method from its class's __dict__.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, names in tracing.FUNCTIONS.items():
+        module = importlib.import_module(f"pdid.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"pdid.{module_name}.{name}"
+    for module_name, classes in tracing.METHODS.items():
+        module = importlib.import_module(f"pdid.{module_name}")
+        for class_name, names in classes.items():
+            for name in names:
+                assert name in vars(getattr(module, class_name)), (
+                    f"pdid.{module_name}.{class_name}.{name}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +720,37 @@ def test_pdid_process_seals_the_charge_of_a_failed_update(tmp_path):
         assert len(dep.gpm._attempts[b"al"]) == cap
     finally:
         dep.ledger.close()
+
+
+def test_pdid_process_takes_arguments_and_passwords_as_the_os_bytes(tmp_path, monkeypatch):
+    # Python holds an argument or environment byte that is not UTF-8, here
+    # 0xff, as the lone surrogate "\udcff" (PEP 383).
+    config = str(tmp_path / "deploy.json")
+    base = ["--config", config, "--json"]
+    reply(pdid_process(*base, "init"), 0)
+    out = reply(pdid_process(*base, "register", "--username", "al", password="pw\udcff"), 0)
+    assert out == {"status": "registered", "username": "al"}
+    out = reply(pdid_process(*base, "login", "--username", "al", "--server", "srv\udcff",
+                             password="pw\udcff"), 0)
+    assert out["keys_match"] is True and out["server"] == "srv\\xff"
+    # Text output too, on a stdout that refuses what is not UTF-8.
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8:strict")
+    proc = pdid_process("--config", config, "login", "--username", "al", "--server", "srv\udcff",
+                        password="pw\udcff")
+    assert proc.returncode == 0 and "server: srv\\xff\n" in proc.stdout, proc.stderr
+    out = reply(pdid_process(*base, "login", "--username", "al", password="pw\ufffd"), 1)
+    assert out == {"status": "failed", "error": "authentication-failed"}
+    out = reply(pdid_process(*base, "update", "--username", "al", password="pw\udcff",
+                             new_password="new\udcff"), 0)
+    assert out["status"] == "password-updated"
+    with cli.load_deployment(cli.load_config(config)) as dep:
+        client_key, server_key = actors.run_login(
+            dep.gpm, dep.ledger, b"al", b"new\xff", b"srv\xff"
+        )
+    assert client_key == server_key
+    # A username must be UTF-8, as the wire format says.
+    out = reply(pdid_process(*base, "register", "--username", "bob\udcff"), 1)
+    assert out == {"status": "failed", "error": "malformed-record"}
 
 
 def test_pdid_process_usage_errors_exit_2(tmp_path):

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -473,34 +474,25 @@ def test_auth_whose_hmqv_secret_is_the_identity_is_malformed(manual_clock, degen
 def test_a_login_makes_three_exp_and_two_two_point_multiplications(monkeypatch):
     ledger, gpm = fresh()
     register(gpm, ledger, b"alice", b"pw")
-    calls = {"exp": 0, "dh_x": 0, "two-point": 0}
-    exp, dh_x, point_mul = crypto.exp, crypto.dh_x, crypto._point_mul
-
-    def counted_exp(*args):
-        calls["exp"] += 1
-        return exp(*args)
-
-    def counted_dh_x(*args):
-        calls["dh_x"] += 1
-        return dh_x(*args)
+    # Every scalar multiplication is one _point_mul; each call is counted
+    # by its terms, so that no multiplication path goes unseen.
+    calls = Counter()
+    point_mul = crypto._point_mul
 
     def counted_point_mul(*terms):
-        calls["two-point"] += len(terms) == 2
+        calls[tuple("generator" if base is None else "point" for _, base in terms)] += 1
         return point_mul(*terms)
 
-    monkeypatch.setattr(crypto, "exp", counted_exp)
-    monkeypatch.setattr(crypto, "dh_x", counted_dh_x)
     monkeypatch.setattr(crypto, "_point_mul", counted_point_mul)
-    monkeypatch.setattr(oprf, "exp", counted_exp)  # oprf binds exp by name
     actors.run_login(gpm, ledger, b"alice", b"pw", b"srv")
-    # OPRF blind, evaluate and unblind, then the HMQV secret at each
-    # endpoint, one two-point multiplication each.
-    assert calls == {"exp": 3, "dh_x": 0, "two-point": 2}
-    calls.update({name: 0 for name in calls})
+    # The two ephemeral keys; the OPRF's blind, evaluation and unblinding;
+    # then the HMQV secret at each endpoint.
+    assert calls == {("generator",): 2, ("point",): 3, ("point", "point"): 2}
+    calls.clear()
     with pytest.raises(WrongPassword):
         actors.run_login(gpm, ledger, b"alice", b"typo", b"srv")
     # The client stops when the envelope does not open.
-    assert calls == {"exp": 3, "dh_x": 0, "two-point": 1}
+    assert calls == {("generator",): 2, ("point",): 3, ("point", "point"): 1}
 
 
 # ---------------------------------------------------------------------------

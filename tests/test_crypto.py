@@ -175,29 +175,6 @@ def test_exp_matches_independent_library_dh():
         assert shared == ours.x.to_bytes(32, "big")
 
 
-def test_dh_x_is_the_x_coordinate_of_exp(seeded):
-    n = crypto.GROUP_ORDER
-    exponents = [1, n - 1] + [crypto.random_scalar().value for _ in range(30)]
-    for k in exponents:
-        b = crypto.base_exp(crypto.random_scalar())
-        e = crypto.Scalar(k)
-        assert crypto.dh_x(b, e) == crypto.exp(b, e).x.to_bytes(32, "big")
-
-
-def test_dh_x_keeps_leading_zero_bytes():
-    k = next(k for k in range(1, 10_000) if crypto.base_exp(crypto.Scalar(k)).x < 1 << 248)
-    out = crypto.dh_x(crypto.GENERATOR, crypto.Scalar(k))
-    assert len(out) == 32 and out[0] == 0
-    assert out == crypto.base_exp(crypto.Scalar(k)).x.to_bytes(32, "big")
-
-
-def test_dh_x_refuses_the_identity_base_and_the_zero_exponent():
-    with pytest.raises(InvalidElement):
-        crypto.dh_x(crypto.IDENTITY, crypto.random_scalar())
-    with pytest.raises(InvalidScalar):
-        crypto.dh_x(crypto.base_exp(crypto.random_scalar()), crypto.Scalar(0))
-
-
 def test_hmqv_key_mirror_images_agree_with_the_integer_schedule(seeded):
     n = crypto.GROUP_ORDER
     for _ in range(10):
@@ -208,7 +185,7 @@ def test_hmqv_key_mirror_images_agree_with_the_integer_schedule(seeded):
         assert client == crypto.hmqv_key(X, A, e_u, y, b, e_s)
         u, s = int.from_bytes(e_u, "little") % n, int.from_bytes(e_s, "little") % n
         sigma = crypto.Scalar((x.value + u * a.value) * (y.value + s * b.value) % n)
-        raw_key = crypto.hash_parts("hmqv-key", [crypto.dh_x(crypto.GENERATOR, sigma)])
+        raw_key = crypto.hash_parts("hmqv-key", [crypto.base_exp(sigma).x.to_bytes(32, "big")])
         assert client == crypto.prf(raw_key, b"\x00")
     # A peer ephemeral share of A^-e_u makes the combined base the identity.
     with pytest.raises(CryptoError):
@@ -217,12 +194,19 @@ def test_hmqv_key_mirror_images_agree_with_the_integer_schedule(seeded):
 
 def three_step_hmqv_key(peer_eph, peer_static, e_peer, own_eph, own_static, e_own):
     """HMQV's key in three group operations, the oracle for hmqv_key's
-    single one: dh_x(mul(peer_eph, exp(peer_static, e)), x')."""
-    base = crypto.mul(peer_eph, crypto.exp(peer_static, crypto.scalar_from_digest(e_peer)))
+    single one: x(exp(peer_eph + exp(peer_static, e), x')), the sum by
+    `reference_add`. An identity base, then a zero x', is refused."""
+    term = crypto.exp(peer_static, crypto.scalar_from_digest(e_peer))
+    base = reference_add(as_pair(peer_eph), as_pair(term))
+    if base is None:
+        raise InvalidElement("the identity base has no Diffie-Hellman value")
     own = crypto.scalar_add(
         own_eph, crypto.scalar_mul(crypto.scalar_from_digest(e_own), own_static)
     )
-    return crypto.prf(crypto.hash_parts("hmqv-key", [crypto.dh_x(base, own)]), b"\x00")
+    if own.value == 0:
+        raise InvalidScalar("a zero exponent has no Diffie-Hellman value")
+    sigma_x = crypto.exp(crypto.GroupElement(*base), own).x.to_bytes(32, "big")
+    return crypto.prf(crypto.hash_parts("hmqv-key", [sigma_x]), b"\x00")
 
 
 def hmqv_outcome(schedule, args):
@@ -260,7 +244,7 @@ def test_hmqv_key_equals_the_three_step_schedule(seeded):
         peer_eph, peer_static, e_peer,
         crypto.Scalar((x_own - u * own_static.value) % n), own_static, e_own,
     )
-    sigma_x = crypto.dh_x(crypto.GENERATOR, crypto.Scalar(k))
+    sigma_x = crypto.base_exp(crypto.Scalar(k)).x.to_bytes(32, "big")
     assert sigma_x[0] == 0
     assert crypto.hmqv_key(*leading_zero) == crypto.prf(
         crypto.hash_parts("hmqv-key", [sigma_x]), b"\x00"
@@ -304,19 +288,9 @@ def test_the_guard_refuses_a_group_that_is_on_the_generic_method():
             crypto._BN_clear_free(bignum)
 
 
-def test_mul_is_group_addition():
-    for _ in range(20):
-        a, b = crypto.random_scalar(), crypto.random_scalar()
-        assert crypto.mul(crypto.base_exp(a), crypto.base_exp(b)) == crypto.base_exp(
-            crypto.scalar_add(a, b)
-        )
-
-
 def test_identity_element_behavior():
     identity = crypto.GroupElement(None, None)
     p = crypto.base_exp(crypto.random_scalar())
-    assert crypto.mul(identity, p) == p
-    assert crypto.mul(p, identity) == p
     assert crypto.exp(identity, crypto.random_scalar()) == identity
     assert crypto.exp(p, crypto.Scalar(0)) == identity
     assert identity.encode() == b"\x00" * crypto.ELEMENT_LEN
@@ -408,8 +382,8 @@ def test_element_decode_matches_reference(seeded):
 
 
 # Independent reference for the group law: affine double-and-add in pure
-# Python (None is the identity), so exp, base_exp, dh_x and mul are not
-# checked against OpenSSL alone.
+# Python (None is the identity), so exp, base_exp, hmqv_key and the map's
+# point sum are not checked against OpenSSL alone.
 P256_N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 P256_G = (
     0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
@@ -460,32 +434,25 @@ def test_group_operations_match_affine_reference(seeded):
         element, e = crypto.GroupElement(*base), crypto.Scalar(k)
         expected = reference_mult(k, base)
         assert as_pair(crypto.exp(element, e)) == expected
-        assert crypto.dh_x(element, e) == expected[0].to_bytes(32, "big")
     assert crypto.base_exp(crypto.Scalar(0)) == crypto.IDENTITY
     for base in bases:
         assert crypto.exp(crypto.GroupElement(*base), crypto.Scalar(0)) == crypto.IDENTITY
-        with pytest.raises(InvalidScalar):
-            crypto.dh_x(crypto.GroupElement(*base), crypto.Scalar(0))
     for k in (0, *EDGE_SCALARS):
         assert crypto.exp(crypto.IDENTITY, crypto.Scalar(k)) == crypto.IDENTITY
-        with pytest.raises(InvalidElement):
-            crypto.dh_x(crypto.IDENTITY, crypto.Scalar(k))
-    for a, b in zip(bases, bases[1:] + bases[:1]):
-        ours = crypto.mul(crypto.GroupElement(*a), crypto.GroupElement(*b))
-        assert as_pair(ours) == reference_add(a, b)
 
 
 def test_decoded_and_multiplied_points_equal_checked_construction(seeded):
     # decode_element and exp build their results without the curve check
-    # that GroupElement(x, y) makes, and mul from coordinates that OpenSSL
-    # does not check; each must equal the checked one.
+    # that GroupElement(x, y) makes, and hash_to_group's sum from
+    # coordinates that OpenSSL does not check; each must equal the checked
+    # one.
     base = crypto.base_exp(crypto.random_scalar())
     for _ in range(200):
         e = crypto.random_scalar()
         for element in (
             crypto.exp(base, e),
             crypto.decode_element(crypto.base_exp(e).encode()),
-            crypto.mul(base, crypto.base_exp(e)),
+            crypto.hash_to_group("checked", [e.encode()]),
         ):
             checked = crypto.GroupElement(element.x, element.y)
             assert type(element) is crypto.GroupElement
@@ -507,9 +474,7 @@ def test_multiplications_agree_across_threads(seeded):
         return [
             (
                 crypto.exp(b, e),
-                crypto.dh_x(b, e),
                 crypto.base_exp(e),
-                crypto.mul(b, crypto.base_exp(e)),
                 crypto.hmqv_key(b, crypto.base_exp(e), e.encode(), e, e, e.encode()),
                 crypto.decode_element(b.encode()),
                 crypto.hash_to_group("threads", [e.encode()]),
@@ -561,9 +526,7 @@ encoded = b.encode()
 def calls(count):
     for _ in range(count):
         crypto.exp(b, e)
-        crypto.dh_x(b, e)
         crypto.base_exp(e)
-        crypto.mul(b, b)
         crypto.hmqv_key(b, b, encoded[1:], e, e, encoded[1:])
         crypto.decode_element(encoded)
         crypto.hash_to_group("leak", [encoded])
@@ -591,12 +554,9 @@ def test_native_calls_free_what_they_allocate():
     assert int(proc.stdout) < 256 * 1024
 
 
-def test_mul_doubling_and_inverse():
+def test_exp_by_order_minus_one_is_the_inverse():
     p = crypto.base_exp(crypto.random_scalar())
-    negated = crypto.GroupElement(p.x, P256_P - p.y)
-    assert crypto.mul(p, p) == crypto.exp(p, crypto.Scalar(2))
-    assert crypto.mul(p, negated) == crypto.IDENTITY
-    assert crypto.exp(p, crypto.Scalar(P256_N - 1)) == negated
+    assert crypto.exp(p, crypto.Scalar(P256_N - 1)) == crypto.GroupElement(p.x, P256_P - p.y)
 
 
 def test_golden_base_point_multiple():
