@@ -100,7 +100,7 @@ class Config:
             raise UsageError(f"config {path} must hold a JSON object")
         unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise UsageError(f"config {path} has unknown keys: {sorted(unknown)}")
         for key, value in raw.items():
             _, kind, name = _CONFIG_KEYS[key]
             if isinstance(value, bool) or not isinstance(value, kind):

@@ -85,7 +85,6 @@ DIGEST_LEN = 32          # SHA-256 output
 KEY_LEN = 32             # symmetric key
 BOX_PUBLIC_LEN = 32      # X25519 public key
 BOX_SECRET_LEN = 32      # X25519 secret key
-SIG_PUBLIC_LEN = 32      # Ed25519 public key
 SIG_LEN = 64             # Ed25519 detached signature
 AEAD_NONCE_LEN = 12
 AEAD_TAG_LEN = 16
@@ -820,23 +819,19 @@ def pk_decrypt(secret: Union[bytes, X25519PrivateKey], ciphertext: bytes) -> byt
 # ---------------------------------------------------------------------------
 
 
-def sig_public(secret: Union[bytes, Ed25519PrivateKey]) -> bytes:
-    """Public half for a signing seed or, skipping the key setup, a signing_key."""
-    if isinstance(secret, bytes):
-        secret = signing_key(secret)
-    return secret.public_key().public_bytes_raw()
+def sig_public(seed: bytes) -> bytes:
+    """Public half for a 32-byte signing seed."""
+    return signing_key(seed).public_key().public_bytes_raw()
 
 
-def signing_key(secret: bytes) -> Ed25519PrivateKey:
-    """Key object for a signing seed; build it once for repeated signing."""
-    return _ed25519_private(secret)
+def signing_key(seed: bytes) -> Ed25519PrivateKey:
+    """Key object for a signing seed."""
+    return _ed25519_private(seed)
 
 
-def sign(secret: Union[bytes, Ed25519PrivateKey], message: bytes) -> bytes:
-    """Sign with a 32-byte seed or, skipping the key setup, a signing_key."""
-    if isinstance(secret, bytes):
-        secret = signing_key(secret)
-    return secret.sign(message)
+def sign(seed: bytes, message: bytes) -> bytes:
+    """Sign with a 32-byte seed."""
+    return signing_key(seed).sign(message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:

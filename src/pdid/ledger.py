@@ -11,8 +11,9 @@ message; every other proof is checked signature by signature.
 Duplicate transaction ids are rejected at append time, which is also the
 replay defense: a captured transaction can never be placed twice.
 
-An issued proof's signatures are made when its attestations are read, and
-each node derives its Ed25519 key from its seed on first use, so appending,
+A node is its Ed25519 signing seed. An issued proof's signatures are made
+from the seeds when its attestations are read, and a proof is checked
+against public keys derived from the seeds at that check, so appending,
 opening and accepting the issued proof do no Ed25519 work. Ed25519 signing
 is deterministic (RFC 8032, section 5.1.6), so a signature made on read is
 byte for byte the one signing at append would have made.
@@ -68,11 +69,6 @@ class Transaction(crypto.Frozen):
         return bytes([MSG_TRANSACTION]) + pack_field(bytes([self.kind])) + pack_field(
             self.payload
         )
-
-    @staticmethod
-    def decode(data: bytes) -> "Transaction":
-        kind, payload = _parse_record(data, 0, len(data))
-        return Transaction(_KINDS[kind], payload)
 
 
 def replace_file(path: str, parts: Iterable[bytes]) -> None:
@@ -130,8 +126,8 @@ def _scan(blob: bytes, pos: int, kinds: bytearray, payloads: list[bytes]) -> int
 
 
 class _Signers:
-    """The slot in which a proof that a ledger issued keeps the nodes that
-    sign its attestations."""
+    """The slot in which a proof that a ledger issued keeps the
+    (node index, seed) pairs that sign its attestations."""
 
     __slots__ = ("_signers",)
 
@@ -140,10 +136,10 @@ class InclusionProof(crypto.Frozen, _Signers):
     """Claim that tx_id sits at seq, attested by the listed nodes.
 
     A proof that `Ledger.append` issued leaves `attestations` unset and
-    names its signing nodes instead: each read of the field, equality, hash
-    and repr included, reaches `__getattr__`, which signs anew. The result
-    is not kept, so a proof checked once holds no signatures afterwards and
-    threads that read it share no cache.
+    holds its signing nodes' seeds instead: each read of the field,
+    equality, hash and repr included, reaches `__getattr__`, which signs
+    anew from the seeds. The result is not kept, so a proof checked once
+    holds no signatures afterwards and threads that read it share no cache.
     """
 
     __slots__ = ("tx_id", "seq", "attestations")
@@ -152,7 +148,9 @@ class InclusionProof(crypto.Frozen, _Signers):
     attestations: tuple[tuple[int, bytes], ...]  # (node index, signature)
 
     @classmethod
-    def _issued(cls, tx_id: bytes, seq: int, signers: tuple["_Node", ...]) -> "InclusionProof":
+    def _issued(
+        cls, tx_id: bytes, seq: int, signers: tuple[tuple[int, bytes], ...]
+    ) -> "InclusionProof":
         proof = object.__new__(cls)
         object.__setattr__(proof, "tx_id", tx_id)
         object.__setattr__(proof, "seq", seq)
@@ -163,42 +161,12 @@ class InclusionProof(crypto.Frozen, _Signers):
         # Reached only for a slot left unset: an issued proof's attestations.
         if name != "attestations":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return tuple((node.index, node.attest(self.tx_id, self.seq)) for node in self._signers)
+        message = attestation_message(self.tx_id, self.seq)
+        return tuple((index, crypto.sign(seed, message)) for index, seed in self._signers)
 
 
 def attestation_message(tx_id: bytes, seq: int) -> bytes:
     return _ATTEST_LABEL + tx_id + struct.pack(">Q", seq)
-
-
-class _Node:
-    """One simulated consensus node: an index and a signing seed.
-
-    The Ed25519 key object and public key are derived from the seed on
-    first use, once, under the node's lock, as verification may run on
-    several threads.
-    """
-
-    __slots__ = ("index", "seed", "_lock", "_keys")
-
-    def __init__(self, index: int, seed: bytes) -> None:
-        self.index = index
-        self.seed = seed
-        self._lock = threading.Lock()
-        self._keys: Optional[tuple[crypto.Ed25519PrivateKey, bytes]] = None
-
-    def _derived(self) -> tuple[crypto.Ed25519PrivateKey, bytes]:
-        with self._lock:
-            if self._keys is None:
-                key = crypto.signing_key(self.seed)
-                self._keys = key, crypto.sig_public(key)
-            return self._keys
-
-    @property
-    def public(self) -> bytes:
-        return self._derived()[1]
-
-    def attest(self, tx_id: bytes, seq: int) -> bytes:
-        return crypto.sign(self._derived()[0], attestation_message(tx_id, seq))
 
 
 class Ledger:
@@ -232,8 +200,8 @@ class Ledger:
             raise LedgerError("need one seed per node")
         self.n_nodes = n_nodes
         self.f = f
-        self.nodes = [_Node(i, seed) for i, seed in enumerate(node_seeds)]
-        self._signers = tuple(self.nodes[: f + 1])  # the nodes that attest appends
+        self.node_seeds = list(node_seeds)
+        self._signers = tuple(enumerate(node_seeds[: f + 1]))  # (index, seed) of the attesters
         self._payloads: list[bytes] = []
         self._kinds = bytearray()
         # Payloads of the records in the columns. Keyed on payloads: the tx
@@ -262,7 +230,7 @@ class Ledger:
         """Start a fresh persistent ledger, truncating any existing file and
         removing its index."""
         ledger = cls(n_nodes, f, path=path)
-        header = _MAGIC + bytes([n_nodes, f]) + b"".join(node.seed for node in ledger.nodes)
+        header = _MAGIC + bytes([n_nodes, f]) + b"".join(ledger.node_seeds)
         with contextlib.suppress(FileNotFoundError):
             os.remove(path + ".idx")
         fh = open(path, "wb")
@@ -437,7 +405,7 @@ class Ledger:
             for index, signature in proof.attestations:
                 if not 0 <= index < self.n_nodes or index in valid:
                     continue
-                if crypto.verify(self.nodes[index].public, message, signature):
+                if crypto.verify(crypto.sig_public(self.node_seeds[index]), message, signature):
                     valid.add(index)
         except (TypeError, ValueError):
             return False  # an attestation that is not an (index, signature) pair
@@ -491,4 +459,4 @@ class Ledger:
         """Hand out signing seeds for `count` nodes (adversary simulations)."""
         if count > self.f:
             raise LedgerError("cannot leak more than f nodes in simulations")
-        return [node.seed for node in self.nodes[:count]]
+        return self.node_seeds[:count]

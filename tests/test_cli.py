@@ -336,9 +336,10 @@ def test_failed_attempts_persist_across_processes(tmp_path, capsys, monkeypatch)
         '{"f": true}',
         '{"rate_limit_window_secs": "60"}',
         '{"ledger_path": 5}',
+        '{"ledger_pth": "x.log"}',
     ],
     ids=["invalid-json", "array", "attempts-string", "nodes-string", "f-bool",
-         "window-string", "path-number"],
+         "window-string", "path-number", "unknown-key"],
 )
 def test_bad_config_is_a_usage_error_before_any_ledger_write(config_path, capsys, text):
     assert run(["--config", config_path, "init"], capsys)[0] == 0

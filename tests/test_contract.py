@@ -620,6 +620,15 @@ def test_unseal_wrong_key_or_tamper_fails():
     tampered[len(tampered) // 2] ^= 1
     with pytest.raises(AuthFailure):
         GpmContract.unseal(bytes(tampered), key, tx_verifier=ledger.tx_included)
+    # Authentic blobs whose state is not well formed: a wrong tag, and a
+    # 31-byte contract secret (tag, u16 length and 32 secret bytes first).
+    state = crypto.aead_decrypt(key, blob)
+    secret = state[3:35]
+    for bad in (b"\x07" + state[1:], state[:1] + wire.pack_field(secret[:31]) + state[35:]):
+        with pytest.raises(MalformedRecord):
+            GpmContract.unseal(
+                crypto.aead_encrypt(key, bad), key, tx_verifier=ledger.tx_included
+            )
 
 
 def test_sealed_blob_changes_with_state():

@@ -91,6 +91,8 @@ def test_scalar_decode_rejects_out_of_range():
         crypto.decode_scalar(too_big)
     with pytest.raises(InvalidScalar):
         crypto.decode_scalar(b"\x01" * 31)
+    with pytest.raises(InvalidScalar):
+        crypto.scalar_from_digest(b"\x01" * 31)
 
 
 def test_scalar_invert_identities():
@@ -830,6 +832,12 @@ def test_aead_wrong_key_rejected():
     ct = crypto.aead_encrypt(key, b"secret")
     with pytest.raises(AuthFailure):
         crypto.aead_decrypt(other, ct)
+    with pytest.raises(CryptoError):
+        crypto.aead_encrypt(key[:31], b"secret")
+    with pytest.raises(CryptoError):
+        crypto.aead_decrypt(key[:31], ct)
+    with pytest.raises(AuthFailure):
+        crypto.aead_decrypt(key, ct[: crypto.AEAD_OVERHEAD - 1])
 
 
 def test_aead_every_bit_flip_rejected_short_message():
@@ -872,6 +880,10 @@ def test_pk_wrong_key_and_tamper_rejected():
     ct = crypto.pk_encrypt(pair.public, b"boxed")
     with pytest.raises(DecryptFailure):
         crypto.pk_decrypt(other.secret, ct)
+    with pytest.raises(DecryptFailure):
+        crypto.pk_decrypt(pair.secret, ct[: crypto.PKE_OVERHEAD - 1])
+    with pytest.raises(CryptoError):
+        crypto.pk_box(pair.public[:31])
     for i in range(0, len(ct) * 8, 7):
         corrupted = bytearray(ct)
         corrupted[i // 8] ^= 1 << (i % 8)
@@ -936,7 +948,6 @@ def test_pk_encrypt_with_a_prepared_box():
 def test_signature_round_trip_and_rejection():
     seed = crypto.random_bytes(32)
     public = crypto.sig_public(seed)
-    assert crypto.sig_public(crypto.signing_key(seed)) == public
     sig = crypto.sign(seed, b"attest this")
     assert len(sig) == crypto.SIG_LEN
     assert crypto.verify(public, b"attest this", sig)
@@ -984,8 +995,8 @@ def test_signatures_match_the_public_api(seeded):
         oracle = Ed25519PrivateKey.from_private_bytes(seed)
         public = oracle.public_key().public_bytes_raw()
         signature = oracle.sign(message)
-        assert crypto.sig_public(seed) == crypto.sig_public(crypto.signing_key(seed)) == public
-        assert crypto.sign(seed, message) == crypto.sign(crypto.signing_key(seed), message) == signature
+        assert crypto.sig_public(seed) == public
+        assert crypto.sign(seed, message) == signature
         assert crypto.verify(public, message, signature)
     # The public constructor refuses a 31-byte key too; verify says no.
     with pytest.raises(ValueError):

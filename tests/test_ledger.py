@@ -92,6 +92,10 @@ def test_wrong_position_or_id_rejected():
     assert not ledger.tx_included(
         tx1, InclusionProof(tx1.id, -1, proof1.attestations)
     )
+    # The right seq, but an id that is not the record's.
+    assert not ledger.tx_included(
+        tx1, InclusionProof(bytes(32), proof1.seq, proof1.attestations)
+    )
 
 
 def test_forged_proof_from_f_leaked_nodes_fails():
@@ -120,6 +124,8 @@ def test_leak_bound_enforced():
 def test_shape_must_be_3f_plus_1():
     with pytest.raises(LedgerError):
         Ledger(n_nodes=5, f=1)
+    with pytest.raises(LedgerError):
+        Ledger(4, 1, node_seeds=[crypto.random_bytes(32) for _ in range(3)])
     Ledger(n_nodes=7, f=2)  # valid alternative shape
 
 
@@ -162,6 +168,12 @@ def test_open_rejects_garbage(tmp_path):
         fh.write(b"nonsense")
     with pytest.raises(LedgerError):
         Ledger.open(path)
+    # A header whose node seeds stop short of the count it names.
+    Ledger.create(path).close()
+    with open(path, "r+b") as fh:
+        fh.truncate(len(ledger_module._MAGIC) + 2 + 32 * 3 + 5)
+    with pytest.raises(LedgerError, match="truncated node seeds"):
+        Ledger.open(path)
 
 
 GOOD_RECORD = Transaction(TxKind.AUTH, b"payload").encode()
@@ -199,18 +211,20 @@ def test_open_rejects_malformed_record(tmp_path, tail):
         Ledger.open(path)
 
 
-def test_transaction_encoding_round_trip():
+def test_transaction_records_round_trip_through_a_full_scan(tmp_path):
+    # One ledger per kind, as equal payloads are one id. With the index
+    # deleted, each reopen parses every record from the file.
     for kind in TxKind:
-        for length in (0, 1, 0xFFFF):
-            tx = Transaction(kind, crypto.random_bytes(length))
-            assert Transaction.decode(tx.encode()) == tx
-    tx = Transaction(TxKind.UPDATE, crypto.random_bytes(40))
-    with pytest.raises(MalformedRecord):
-        Transaction.decode(tx.encode()[:-1])
-    bad_kind = Transaction(TxKind.AUTH, b"p").encode()
-    bad_kind = bad_kind[:4] + bytes([99]) + bad_kind[5:]
-    with pytest.raises(MalformedRecord):
-        Transaction.decode(bad_kind)
+        path = str(tmp_path / f"{kind.name}.log")
+        ledger = Ledger.create(path)
+        txs = [Transaction(kind, p) for p in (b"", b"\x01", crypto.random_bytes(0xFFFF))]
+        for tx in txs:
+            ledger.append(tx)
+        ledger.close()
+        os.remove(path + ".idx")
+        reopened = Ledger.open(path)
+        assert reopened.snapshot() == tuple(txs)
+        reopened.close()
 
 
 def test_transaction_id_depends_only_on_payload():
@@ -517,15 +531,14 @@ def test_concurrent_old_sequence_reads_share_one_prefix_load(tmp_path, monkeypat
     reopened.close()
 
 
-def test_concurrent_first_reads_derive_each_node_key_once(monkeypatch):
+def test_concurrent_first_reads_of_an_issued_proof_agree(monkeypatch):
     ledger = Ledger()
     proof = ledger.append(make_tx())
-    derived, results = [], []
+    results = []
     signing_key = crypto.signing_key
 
     def slow_signing_key(seed):
-        derived.append(seed)
-        time.sleep(0.01)  # holds a racing reader between its check and its store
+        time.sleep(0.01)  # holds each racing reader inside its signing
         return signing_key(seed)
 
     def read():
@@ -541,7 +554,6 @@ def test_concurrent_first_reads_derive_each_node_key_once(monkeypatch):
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 4 and len(set(results)) == 1
-    assert derived == [node.seed for node in ledger.nodes[: ledger.f + 1]]
 
 
 def test_empty_ledger_writes_no_index(tmp_path):
@@ -585,7 +597,7 @@ def reference_included(ledger, tx, proof):
         valid = set()
         for index, signature in proof.attestations:
             if 0 <= index < ledger.n_nodes and index not in valid:
-                if crypto.verify(ledger.nodes[index].public, message, signature):
+                if crypto.verify(crypto.sig_public(ledger.node_seeds[index]), message, signature):
                     valid.add(index)
         return len(valid) >= ledger.f + 1
     except (TypeError, ValueError):
@@ -606,7 +618,7 @@ def proof_variants(ledger, txs, proofs, rng):
     """(label, tx, proof) for proofs this ledger issued, equal copies of
     them, and every kind of proof it did not issue."""
     f = ledger.f
-    extra = ledger.nodes[f + 1]
+    extra = ledger.node_seeds[f + 1]
     for seq, (tx, proof) in enumerate(zip(txs, proofs)):
         pairs = proof.attestations
         (i0, s0), (i1, s1) = pairs[0], pairs[1]
@@ -621,7 +633,7 @@ def proof_variants(ledger, txs, proofs, rng):
         yield "reordered", tx, with_pairs(proof, pairs[::-1])
         yield "duplicated", tx, with_pairs(proof, (pairs[0], pairs[0]))
         yield "dropped", tx, with_pairs(proof, pairs[: rng.randrange(f + 1)])
-        yield "padded", tx, with_pairs(proof, pairs + ((extra.index, extra.attest(tx.id, seq)),))
+        yield "padded", tx, with_pairs(proof, pairs + ((f + 1, crypto.sign(extra, message)),))
         yield "wrong seq", tx, with_pairs(proof, pairs, seq=(seq + 1) % len(txs))
         yield "wrong tx", other, proof
         leaked = ledger.leak_node_seeds(f)
@@ -673,7 +685,7 @@ def test_proofs_from_a_twin_ledger_or_before_a_reopen_answer_as_the_reference(tm
     txs = [make_tx(bytes([i])) for i in range(3)]
     proofs = [ledger.append(tx) for tx in txs]
     # Same seeds, so the same deterministic signatures for the same (tx, seq).
-    twin = Ledger(node_seeds=[node.seed for node in ledger.nodes])
+    twin = Ledger(node_seeds=ledger.node_seeds)
     twin_proofs = [twin.append(tx) for tx in reversed(txs)]
     ledger.close()
     reopened = Ledger.open(path)
@@ -749,7 +761,7 @@ def test_attestations_read_back_as_signing_at_append_makes_them(seed, f, verify_
     crypto.set_insecure_seed(seed)
     path = str(tmp_path / "ledger.log")
     ledger = Ledger.create(path, 3 * f + 1, f)
-    seeds = [node.seed for node in ledger.nodes]
+    seeds = ledger.node_seeds
 
     def eager(proof):
         message = attestation_message(proof.tx_id, proof.seq)

@@ -238,6 +238,8 @@ def test_decode_expected_enforces_kind():
     assert wire.decode_expected(init.encode(), wire.UserAuthInit) == init
     with pytest.raises(MalformedRecord):
         wire.decode_expected(init.encode(), wire.ServerToUser)
+    with pytest.raises(MalformedRecord):
+        wire.decode_metadata(init.encode())
 
 
 def test_wrong_width_fixed_fields_rejected():
@@ -249,6 +251,8 @@ def test_wrong_width_fixed_fields_rejected():
         wire.ServerToUser(
             random_element(), random_element(), crypto.random_bytes(127)
         )
+    with pytest.raises(MalformedRecord):
+        wire.UpdatePlaintext(b"erin", "a str password", random_metadata())
 
 
 # ---------------------------------------------------------------------------
