@@ -10,10 +10,12 @@ key exported as hex. Passwords are read from environment variables
 (PDID_PASSWORD, PDID_NEW_PASSWORD) or an interactive prompt, never from
 argv. Exit codes: 0 success, 1 protocol failure, 2 usage error.
 
-`register`, `login` and `update` run their flow in `with load_deployment`,
+`register`, `login` and `update` run their flow through `_run_flow`,
 which seals the contract state whether or not the flow failed, then closes
 the ledger: a wrong password is charged to the username's rate window, and
-a charge left unsealed would be forgotten by the next command.
+a charge left unsealed would be forgotten by the next command. The flow's
+record is on the ledger before the save, so a failed save is reported
+beside the flow's own result or error, as `save_error`, not in its place.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, NoReturn, Optional
+from typing import Callable, List, NoReturn, Optional, Union
 
 from . import __version__, crypto
 from .actors import run_login, run_register, run_update
@@ -44,6 +46,12 @@ ATTACK_SCENARIOS = (
 
 class UsageError(Exception):
     """Bad invocation or missing deployment; maps to exit code 2."""
+
+
+class SaveFailed(Exception):
+    """A flow ran, then its sealed state could not be saved. Its args are
+    the flow's outcome (its result, or the PdidError it raised) and the
+    save's error."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +194,27 @@ def load_deployment(config: Config) -> Deployment:
     return Deployment(config, ledger, gpm, sealing_key)
 
 
+def _run_flow(config: Config, flow: Callable[[Deployment], dict]) -> dict:
+    """`flow`'s result on the opened deployment, which is then sealed and
+    closed (`Deployment.__exit__`). A save that fails raises SaveFailed
+    with the flow's outcome."""
+    dep = load_deployment(config)
+    outcome: Union[dict, PdidError, None] = None
+    try:
+        with dep:
+            try:
+                outcome = flow(dep)
+            except PdidError as exc:
+                outcome = exc
+    except (OSError, PdidError) as exc:
+        if outcome is None:  # the flow's own error, not the save's
+            raise
+        raise SaveFailed(outcome, exc) from exc
+    if isinstance(outcome, PdidError):
+        raise outcome
+    return outcome
+
+
 # ---------------------------------------------------------------------------
 # Command plumbing.
 # ---------------------------------------------------------------------------
@@ -224,6 +253,10 @@ def _error_code(exc: PdidError) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+def _failure(exc: PdidError) -> dict:
+    return {"status": "failed", "error": _error_code(exc)}
 
 
 def cmd_init(args) -> dict:
@@ -270,37 +303,46 @@ def cmd_init(args) -> dict:
 def cmd_register(args) -> dict:
     config = load_config(args.config)
     password = _get_password(PASSWORD_ENV, "password: ")
-    with load_deployment(config) as dep:
+
+    def flow(dep: Deployment) -> dict:
         run_register(dep.gpm, dep.ledger, os.fsencode(args.username), password)
-    return {"status": "registered", "username": args.username}
+        return {"status": "registered", "username": args.username}
+
+    return _run_flow(config, flow)
 
 
 def cmd_login(args) -> dict:
     config = load_config(args.config)
     password = _get_password(PASSWORD_ENV, "password: ")
     server = os.fsencode(args.server)
-    with load_deployment(config) as dep:
+
+    def flow(dep: Deployment) -> dict:
         client_key, server_key = run_login(
             dep.gpm, dep.ledger, os.fsencode(args.username), password, server
         )
-    fingerprint = crypto.hash_parts("session-key-fingerprint", [client_key]).hex()[:16]
-    return {
-        "status": "authenticated",
-        "username": args.username,
-        # A byte that is not UTF-8 shows as \xff, which any stdout can print.
-        "server": server.decode("utf-8", "backslashreplace"),
-        "keys_match": client_key == server_key,
-        "session_key_fingerprint": fingerprint,
-    }
+        fingerprint = crypto.hash_parts("session-key-fingerprint", [client_key]).hex()[:16]
+        return {
+            "status": "authenticated",
+            "username": args.username,
+            # A byte that is not UTF-8 shows as \xff, which any stdout can print.
+            "server": server.decode("utf-8", "backslashreplace"),
+            "keys_match": client_key == server_key,
+            "session_key_fingerprint": fingerprint,
+        }
+
+    return _run_flow(config, flow)
 
 
 def cmd_update(args) -> dict:
     config = load_config(args.config)
     old_password = _get_password(PASSWORD_ENV, "current password: ")
     new_password = _get_password(NEW_PASSWORD_ENV, "new password: ")
-    with load_deployment(config) as dep:
+
+    def flow(dep: Deployment) -> dict:
         run_update(dep.gpm, dep.ledger, os.fsencode(args.username), old_password, new_password)
-    return {"status": "password-updated", "username": args.username}
+        return {"status": "password-updated", "username": args.username}
+
+    return _run_flow(config, flow)
 
 
 def cmd_attack(args) -> dict:
@@ -376,11 +418,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         crypto.set_insecure_seed(args.seed)
     try:
         result = _COMMANDS[args.command](args)
+    except SaveFailed as failed:
+        outcome, error = failed.args
+        payload = outcome if isinstance(outcome, dict) else _failure(outcome)
+        usage = isinstance(error, OSError)  # exit 2, as when nothing ran
+        _emit(dict(payload, save_error=str(error) if usage else _error_code(error)), args.as_json)
+        return 2 if usage else 1
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PdidError as exc:
-        _emit({"status": "failed", "error": _error_code(exc)}, args.as_json)
+        _emit(_failure(exc), args.as_json)
         return 1
     _emit(result, args.as_json)
     if args.command == "attack" and not result.get("defense_held", False):

@@ -33,8 +33,8 @@ What is left of Python arithmetic on secret or password-derived values,
 for want of a native path, is multiplication and addition mod p or n:
 - the map's field arithmetic (`_sswu`) and the Jacobian coordinates of
   its two points (`_point_add`);
-- `scalar_add` and `scalar_mul` on the HMQV exponents (`hmqv_key`): the
-  own exponent x' = own_eph + e_own * own_static, and the product
+- the two HMQV exponents, computed on plain integers inside `hmqv_key`:
+  the own exponent x' = own_eph + e_own * own_static, and the product
   x' * e_peer that multiplies the peer's static key.
 `EC_POINT_add` branches on equal, inverse or identity inputs, which two
 password-derived map points are with negligible probability.
@@ -560,27 +560,12 @@ def exp(b: GroupElement, e: Scalar) -> GroupElement:
     return _element(_point_mul((e.value, b)))
 
 
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return Scalar((a.value + b.value) % GROUP_ORDER)
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return Scalar(a.value * b.value % GROUP_ORDER)
-
-
 def scalar_invert(s: Scalar) -> Scalar:
     """Multiplicative inverse mod the group order, s^(n-2) in constant
     time (`_field_pow`); zero is refused."""
     if s.value == 0:
         raise InvalidScalar("zero has no inverse")
     return Scalar(_field_pow(s.value, GROUP_ORDER - 2, _ORDER))
-
-
-def scalar_from_digest(d: bytes) -> Scalar:
-    """Reduce a digest to a scalar (used for exponent-combining hashes)."""
-    if len(d) != DIGEST_LEN:
-        raise InvalidScalar("digest must be 32 bytes")
-    return Scalar(int.from_bytes(d, "little") % GROUP_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -679,16 +664,18 @@ def hmqv_key(
 ) -> bytes:
     """One endpoint's HMQV session key (FORMATS.md, "Key schedule"):
     PRF(H("hmqv-key", [x(sigma)]), 0x00) with sigma = (peer_eph *
-    peer_static^e_peer)^x' and x' = own_eph + e_own * own_static, each
-    digest reduced by `scalar_from_digest`. sigma is one two-point
-    multiplication, x'*peer_eph + (x' * e_peer)*peer_static. A zero x'
-    raises InvalidScalar and an identity sigma, which has no x,
-    InvalidElement."""
-    exponent = scalar_add(own_eph, scalar_mul(scalar_from_digest(e_own), own_static))
-    if exponent.value == 0:
+    peer_static^e_peer)^x' and x' = own_eph + e_own * own_static mod n,
+    each 32-byte digest read as a little-endian integer. sigma is one
+    two-point multiplication, x'*peer_eph + (x' * e_peer mod n)*peer_static.
+    A digest of another length or a zero x' raises InvalidScalar, and an
+    identity sigma, which has no x, InvalidElement."""
+    if len(e_own) != DIGEST_LEN or len(e_peer) != DIGEST_LEN:
+        raise InvalidScalar("digest must be 32 bytes")
+    exponent = (own_eph.value + int.from_bytes(e_own, "little") * own_static.value) % GROUP_ORDER
+    if exponent == 0:
         raise InvalidScalar("a zero exponent has no Diffie-Hellman value")
-    peer_exponent = scalar_mul(exponent, scalar_from_digest(e_peer))
-    sigma = _point_mul((exponent.value, peer_eph), (peer_exponent.value, peer_static))
+    peer_exponent = exponent * int.from_bytes(e_peer, "little") % GROUP_ORDER
+    sigma = _point_mul((exponent, peer_eph), (peer_exponent, peer_static))
     if len(sigma) == 1:
         raise InvalidElement("the HMQV secret is the identity")
     return prf(hash_parts("hmqv-key", [sigma[1:33]]), b"\x00")

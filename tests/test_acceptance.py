@@ -180,7 +180,7 @@ def test_criterion_5_agreement_identity_1000_tuples():
         x_u, p_u = crypto.random_scalar(), crypto.random_scalar()
         x_s, p_s = crypto.random_scalar(), crypto.random_scalar()
         e_u, e_s = crypto.random_scalar(), crypto.random_scalar()
-        # scalar_from_digest maps each exponent's encoding back to it.
+        # hmqv_key reads each exponent's encoding back as the exponent.
         d_u, d_s = e_u.encode(), e_s.encode()
         client_side = crypto.hmqv_key(
             crypto.base_exp(x_s), crypto.base_exp(p_s), d_s, x_u, p_u, d_u

@@ -127,7 +127,7 @@ def test_agreement_identity_matches_integer_oracle():
         x_u, p_u = crypto.random_scalar(), crypto.random_scalar()
         x_s, p_s = crypto.random_scalar(), crypto.random_scalar()
         e_u, e_s = crypto.random_scalar(), crypto.random_scalar()
-        # scalar_from_digest maps each exponent's encoding back to it.
+        # hmqv_key reads each exponent's encoding back as the exponent.
         d_u, d_s = e_u.encode(), e_s.encode()
         X_u, P_u = crypto.base_exp(x_u), crypto.base_exp(p_u)
         X_s, P_s = crypto.base_exp(x_s), crypto.base_exp(p_s)
@@ -160,8 +160,8 @@ def test_login_session_key_is_the_prf_of_the_hashed_x_coordinate():
     server_key, to_user = actors.server_auth_phase2(server, reply_ct)
     client_key = actors.client_auth_finish(client, b"pw", b"srv", to_user)
 
-    e_u = crypto.scalar_from_digest(server.request.e_client).value
-    e_s = crypto.scalar_from_digest(server.request.e_server).value
+    e_u = int.from_bytes(server.request.e_client, "little") % crypto.GROUP_ORDER
+    e_s = int.from_bytes(server.request.e_server, "little") % crypto.GROUP_ORDER
     exponent = (
         (x_u.value + e_u * p_u.value)
         * (server.request.server_eph_priv.value + e_s * meta.server_static_priv.value)

@@ -16,7 +16,7 @@ import pytest
 import pdid
 from pdid import actors, cli, crypto
 from pdid.contract import GpmContract
-from pdid.errors import PdidError
+from pdid.errors import MalformedRecord, PdidError
 from pdid.ledger import Ledger
 
 
@@ -301,6 +301,40 @@ def test_failed_save_still_closes_the_ledger(config_path, capsys, monkeypatch, c
 
     monkeypatch.setattr(cli.Deployment, "save", refuse)
     assert cli.main(["--config", config_path] + command) == 2
+    assert len(closed) == 1
+
+
+@pytest.mark.parametrize("command, password, refusal, code, expected", [
+    (["register", "--username", "bo"], "the password", OSError("disk full"), 2,
+     {"status": "registered", "username": "bo", "save_error": "disk full"}),
+    (["login", "--username", "al"], "the password", OSError("disk full"), 2,
+     {"status": "authenticated", "username": "al", "keys_match": True, "save_error": "disk full"}),
+    # The error a seal past the u16 size cliff raises.
+    (["login", "--username", "al"], "not the password", MalformedRecord("field too long"), 1,
+     {"status": "failed", "error": "authentication-failed", "save_error": "malformed-record"}),
+    (["update", "--username", "al"], "the password", OSError("disk full"), 2,
+     {"status": "password-updated", "username": "al", "save_error": "disk full"}),
+])
+def test_failed_save_reports_the_flows_own_result(
+    config_path, capsys, monkeypatch, command, password, refusal, code, expected
+):
+    # The flow's record is on the ledger before the save, so its result is
+    # reported with the save's error, not replaced by it.
+    monkeypatch.setenv(cli.NEW_PASSWORD_ENV, "new password")
+    run(["--config", config_path, "init"], capsys)
+    run(["--config", config_path, "register", "--username", "al"], capsys)
+    closed = []
+    close = Ledger.close
+    monkeypatch.setattr(Ledger, "close", lambda self: closed.append(self) or close(self))
+
+    def refuse(self):
+        raise refusal
+
+    monkeypatch.setattr(cli.Deployment, "save", refuse)
+    monkeypatch.setenv(cli.PASSWORD_ENV, password)
+    got, out = run(["--json", "--config", config_path] + command, capsys)
+    assert json.loads(out).items() >= expected.items()
+    assert got == code
     assert len(closed) == 1
 
 

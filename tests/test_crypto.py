@@ -91,8 +91,13 @@ def test_scalar_decode_rejects_out_of_range():
         crypto.decode_scalar(too_big)
     with pytest.raises(InvalidScalar):
         crypto.decode_scalar(b"\x01" * 31)
-    with pytest.raises(InvalidScalar):
-        crypto.scalar_from_digest(b"\x01" * 31)
+    # hmqv_key reads each of its two digests as a 32-byte scalar.
+    own_eph, own_static = crypto.random_scalar(), crypto.random_scalar()
+    peer = crypto.base_exp(crypto.random_scalar())
+    digest, short = b"\x01" * 32, b"\x01" * 31
+    for e_peer, e_own in ((digest, short), (short, digest)):
+        with pytest.raises(InvalidScalar):
+            crypto.hmqv_key(peer, peer, e_peer, own_eph, own_static, e_own)
 
 
 def test_scalar_invert_identities():
@@ -151,7 +156,7 @@ def test_exp_matches_exponent_product():
     for _ in range(100):
         a, b = crypto.random_scalar(), crypto.random_scalar()
         assert crypto.exp(crypto.base_exp(a), b) == crypto.base_exp(
-            crypto.scalar_mul(a, b)
+            crypto.Scalar(a.value * b.value % crypto.GROUP_ORDER)
         )
 
 
@@ -197,17 +202,17 @@ def test_hmqv_key_mirror_images_agree_with_the_integer_schedule(seeded):
 def three_step_hmqv_key(peer_eph, peer_static, e_peer, own_eph, own_static, e_own):
     """HMQV's key in three group operations, the oracle for hmqv_key's
     single one: x(exp(peer_eph + exp(peer_static, e), x')), the sum by
-    `reference_add`. An identity base, then a zero x', is refused."""
-    term = crypto.exp(peer_static, crypto.scalar_from_digest(e_peer))
-    base = reference_add(as_pair(peer_eph), as_pair(term))
+    `reference_add`, each digest reduced mod n. An identity base, then a
+    zero x', is refused."""
+    n = crypto.GROUP_ORDER
+    e = crypto.Scalar(int.from_bytes(e_peer, "little") % n)
+    base = reference_add(as_pair(peer_eph), as_pair(crypto.exp(peer_static, e)))
     if base is None:
         raise InvalidElement("the identity base has no Diffie-Hellman value")
-    own = crypto.scalar_add(
-        own_eph, crypto.scalar_mul(crypto.scalar_from_digest(e_own), own_static)
-    )
-    if own.value == 0:
+    own = (own_eph.value + int.from_bytes(e_own, "little") % n * own_static.value) % n
+    if own == 0:
         raise InvalidScalar("a zero exponent has no Diffie-Hellman value")
-    sigma_x = crypto.exp(crypto.GroupElement(*base), own).x.to_bytes(32, "big")
+    sigma_x = crypto.exp(crypto.GroupElement(*base), crypto.Scalar(own)).x.to_bytes(32, "big")
     return crypto.prf(crypto.hash_parts("hmqv-key", [sigma_x]), b"\x00")
 
 
@@ -238,7 +243,7 @@ def test_hmqv_key_equals_the_three_step_schedule(seeded):
     *_, e_peer, own_eph, own_static, e_own = cases[0]
     y, b = crypto.random_scalar(), crypto.random_scalar()
     peer_eph, peer_static = crypto.base_exp(y), crypto.base_exp(b)
-    s, u = crypto.scalar_from_digest(e_peer).value, crypto.scalar_from_digest(e_own).value
+    s, u = int.from_bytes(e_peer, "little") % n, int.from_bytes(e_own, "little") % n
     # An own exponent x' that makes sigma = k*G, whose x has a leading zero byte.
     k = next(k for k in range(1, 10_000) if crypto.base_exp(crypto.Scalar(k)).x < 1 << 248)
     x_own = k * pow(y.value + s * b.value, -1, n) % n

@@ -415,11 +415,63 @@ def test_truncated_index_is_not_trusted(tmp_path, keep):
 
 def write_index(path, ids, base_index):
     """Rewrite the index of `path` with the id column `ids`, keeping the
-    other header fields of `base_index` and a correct checksum."""
+    header fields (its first 61 bytes) of `base_index`, and a correct
+    checksum."""
     header = base_index[:61]
     body = header + ids
     with open(index_of(path), "wb") as fh:
         fh.write(body + zlib.crc32(body).to_bytes(4, "big"))
+
+
+def rewrite_index_header(path, drop_ids=0, **fields):
+    """Rewrite the index of `path` with some header fields changed, the
+    first `drop_ids` ids of its column dropped, and a correct checksum."""
+    index = Path(index_of(path)).read_bytes()
+    header = ledger_module._INDEX_HEADER
+    names = ("magic", "count", "start", "covered", "digest")
+    old = dict(zip(names, header.unpack_from(index)))
+    new = header.pack(*(fields.get(name, old[name]) for name in names))
+    write_index(path, index[header.size + 32 * drop_ids : -4], new)
+
+
+@pytest.mark.parametrize("window", ["two-records", "inside-a-payload"])
+def test_index_whose_window_is_not_its_last_record(tmp_path, monkeypatch, window):
+    # A checksummed index whose window (start to covered end) frames
+    # something else is not trusted: the open scans the whole file.
+    path = str(tmp_path / "ledger.log")
+    txs = write_log(path, 6)
+    fake = b"\x00\x00\x00\x05" + bytes(5)  # a length prefix, then no record
+    txs.append(Transaction(TxKind.AUTH, b"payload-" + fake))
+    ledger = Ledger.open(path)
+    ledger.append(txs[-1])
+    ledger.close()
+    if window == "two-records":
+        # The last two records: the window's length prefix frames the first.
+        before_last = os.path.getsize(path) - sum(4 + len(tx.encode()) for tx in txs[-2:])
+        rewrite_index_header(path, start=before_last)
+    else:
+        # The right length, but not a transaction record.
+        start = Path(path).read_bytes().rindex(fake)
+        rewrite_index_header(path, start=start, covered=start + len(fake))
+    parsed = count_parses(monkeypatch)
+    Ledger.open(path).close()
+    assert len(parsed) == {"two-records": 7, "inside-a-payload": 1 + 7}[window]
+    monkeypatch.undo()
+    assert_same_log(path, tmp_path)
+
+
+def test_index_counting_fewer_records_than_the_log_fails_on_an_old_read(tmp_path):
+    # The id column lost its first id: the window still checks out, so the
+    # open succeeds, and the first read before the window sees the mismatch.
+    path = str(tmp_path / "ledger.log")
+    write_log(path, 5)
+    rewrite_index_header(path, drop_ids=1, count=4)
+    ledger = Ledger.open(path)
+    try:
+        with pytest.raises(LedgerError, match="ledger index does not match the log"):
+            ledger.transaction_at(0)
+    finally:
+        ledger.close()
 
 
 def test_duplicate_search_keeps_id_alignment(tmp_path):
@@ -492,8 +544,9 @@ def test_old_sequence_reads_load_the_prefix(tmp_path):
     assert reopened.transaction_at(-1) == txs[-1]
     assert all(reopened.tx_included(tx, proof) for tx, proof in zip(txs, proofs))
     assert reopened.snapshot() == tuple(txs)
-    with pytest.raises(IndexError):
-        reopened.transaction_at(12)
+    for seq in (12, -13):
+        with pytest.raises(IndexError):
+            reopened.transaction_at(seq)
     reopened.close()
 
 

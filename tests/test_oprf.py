@@ -55,7 +55,7 @@ def test_evaluate_exponent_identities():
     assert oprf.evaluate(alpha, crypto.Scalar(1)) == alpha
     k1, k2 = crypto.random_scalar(), crypto.random_scalar()
     assert oprf.evaluate(oprf.evaluate(alpha, k1), k2) == oprf.evaluate(
-        alpha, crypto.scalar_mul(k1, k2)
+        alpha, crypto.Scalar(k1.value * k2.value % crypto.GROUP_ORDER)
     )
 
 

@@ -190,6 +190,16 @@ def test_truncation_rejected_everywhere():
                 wire.decode_message(encoded[:cut])
 
 
+def test_fields_frame_up_to_the_u16_limit():
+    # The sealed state frames its users and attempts blobs as fields, so
+    # this is where a deployment too large to seal is refused.
+    largest = bytes(0xFFFF)
+    framed = wire.pack_field(largest)
+    assert framed[:2] == b"\xff\xff" and wire.Reader(framed).field() == largest
+    with pytest.raises(MalformedRecord, match="too long"):
+        wire.pack_field(largest + b"\x00")
+
+
 def test_trailing_bytes_rejected():
     for msg in sample_messages():
         with pytest.raises(MalformedRecord):
