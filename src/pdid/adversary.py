@@ -16,7 +16,7 @@ outcome (rejections, zero confirmations, no plaintext identifiers).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import actors, crypto, oprf
 from .contract import GpmContract
@@ -171,14 +171,11 @@ def offline_guesses_confirmed(
 OPAQUE_CHANNELS = ("server->ledger", "gpm->server")
 
 
-class ObserverReport:
+class ObserverReport(NamedTuple):
     """What a passive observer legitimately obtains, plus any violations."""
 
-    __slots__ = ("sizes", "violations")
-
-    def __init__(self) -> None:
-        self.sizes: List[Tuple[str, int]] = []
-        self.violations: List[str] = []
+    sizes: List[Tuple[str, int]]
+    violations: List[str]
 
     @property
     def clean(self) -> bool:
@@ -197,7 +194,7 @@ def observe_trace(
     identities). The raw ledger file, when given, is held to the same
     substring rule.
     """
-    report = ObserverReport()
+    report = ObserverReport([], [])
     for channel, data in trace:
         if data is None:  # a stage with no message, e.g. the ledger append
             continue

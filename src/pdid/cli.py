@@ -4,11 +4,12 @@ against it. The protocol flows are `actors.run_register`, `run_login` and
 `run_update`; the attack drills are `adversary.run_attack`, and the
 benchmark is `bench.run_benchmark`, each imported by its command.
 
-Deployment state lives in files named by a JSON config: the ledger record
-file, the sealed contract state, the sealing key, and the contract public
-key exported as hex. Passwords are read from environment variables
-(PDID_PASSWORD, PDID_NEW_PASSWORD) or an interactive prompt, never from
-argv. Exit codes: 0 success, 1 protocol failure, 2 usage error.
+Deployment state lives in four files named by a JSON config (`Config`):
+the ledger record file, the sealed contract state, the sealing key, and the
+contract public key exported as hex, each apart from the others, the
+ledger's index and the config. Passwords are read from environment
+variables (PDID_PASSWORD, PDID_NEW_PASSWORD) or an interactive prompt,
+never from argv. Exit codes: 0 success, 1 protocol failure, 2 usage error.
 
 `register`, `login` and `update` run their flow through `_run_flow`,
 which seals the contract state whether or not the flow failed, then closes
@@ -23,8 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from typing import Callable, List, NoReturn, Optional, Union
+from typing import Callable, List, NamedTuple, NoReturn, Optional, Union
 
 from . import __version__, crypto
 from .actors import run_login, run_register, run_update
@@ -59,61 +61,49 @@ class SaveFailed(Exception):
 # ---------------------------------------------------------------------------
 
 
-# Each config key's default and JSON type, in the order `pdid init` writes
-# them. The string keys are file paths. A bool is refused where an int or
-# number is asked, though Python counts it as an int.
-_CONFIG_KEYS = {
-    "ledger_path": ("ledger.log", str, "a string"),
-    "sealed_state_path": ("gpm.sealed", str, "a string"),
-    "contract_pk_path": ("contract_pk.hex", str, "a string"),
-    "sealing_key_path": ("sealing.key", str, "a string"),
-    "n_nodes": (4, int, "an integer"),
-    "f": (1, int, "an integer"),
-    "rate_limit_attempts": (DEFAULT_RATE_LIMIT[0], int, "an integer"),
-    "rate_limit_window_secs": (DEFAULT_RATE_LIMIT[1], (int, float), "a number"),
-}
+# The JSON types a config value may have, by the type of its default, and
+# their name. A bool is refused where an int or number is asked, though
+# Python counts it as an int.
+_JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
 
 
-class Config:
-    """Deployment settings: file paths, ledger shape and rate limit; a key
-    not given takes its default from `_CONFIG_KEYS`."""
+class Config(NamedTuple):
+    """Deployment settings: the four file paths, ledger shape and rate
+    limit. A key a config file does not give takes its default here; `pdid
+    init` writes them all, in this order."""
 
-    __slots__ = tuple(_CONFIG_KEYS)
-    ledger_path: str
-    sealed_state_path: str
-    contract_pk_path: str
-    sealing_key_path: str
-    n_nodes: int
-    f: int
-    rate_limit_attempts: int
-    rate_limit_window_secs: float
+    ledger_path: str = "ledger.log"
+    sealed_state_path: str = "gpm.sealed"
+    contract_pk_path: str = "contract_pk.hex"
+    sealing_key_path: str = "sealing.key"
+    n_nodes: int = 4
+    f: int = 1
+    rate_limit_attempts: int = DEFAULT_RATE_LIMIT[0]
+    rate_limit_window_secs: float = DEFAULT_RATE_LIMIT[1]
 
-    def __init__(self, **values: object) -> None:
-        for key, (default, _, _) in _CONFIG_KEYS.items():
-            setattr(self, key, values.pop(key, default))
-        if values:
-            raise TypeError(f"unknown config keys: {sorted(values)}")
-
-    @classmethod
-    def load(cls, path: str) -> "Config":
+    @staticmethod
+    def load(path: str) -> "Config":
         """Read a config file, refusing anything but a JSON object of known
-        keys with values of their types and in their ranges; relative paths
-        are taken from the file's directory."""
-        with open(path) as fh:
-            try:
+        keys with values of their types and in their ranges, and paths that
+        are empty or name one file twice; relative paths are taken from the
+        file's directory."""
+        try:
+            with open(path) as fh:
                 raw = json.load(fh)
-            except ValueError as exc:
-                raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+        except FileNotFoundError:
+            raise UsageError(f"config not found: {path} (run init first)") from None
+        except ValueError as exc:
+            raise UsageError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise UsageError(f"config {path} must hold a JSON object")
-        unknown = set(raw) - set(_CONFIG_KEYS)
+        unknown = set(raw) - set(Config._fields)
         if unknown:
             raise UsageError(f"config {path} has unknown keys: {sorted(unknown)}")
         for key, value in raw.items():
-            _, kind, name = _CONFIG_KEYS[key]
-            if isinstance(value, bool) or not isinstance(value, kind):
+            kinds, name = _JSON_TYPES[type(Config._field_defaults[key])]
+            if isinstance(value, bool) or not isinstance(value, kinds):
                 raise UsageError(f"config key {key} must be {name}, not {json.dumps(value)}")
-        cfg = cls(**raw)
+        cfg = Config(**raw)
         if not (0 <= cfg.f and cfg.n_nodes == 3 * cfg.f + 1 <= 255):
             raise UsageError(f"config keys n_nodes and f must have n_nodes = 3f + 1 <= 255, "
                              f"not {cfg.n_nodes} and {cfg.f}")
@@ -121,33 +111,29 @@ class Config:
             raise UsageError("config key rate_limit_attempts must be at least 1")
         if not 0 < cfg.rate_limit_window_secs < float("inf"):
             raise UsageError("config key rate_limit_window_secs must be positive and finite")
+        paths = {key: value for key, value in cfg._asdict().items() if isinstance(value, str)}
         base = os.path.dirname(os.path.abspath(path))
-        for key, (_, kind, _) in _CONFIG_KEYS.items():
-            value = getattr(cfg, key)
-            if kind is str and not os.path.isabs(value):
-                setattr(cfg, key, os.path.join(base, value))
+        cfg = cfg._replace(**{key: os.path.join(base, value) for key, value in paths.items()})
+        # A path naming another's file would overwrite it; an empty one names the directory.
+        files = [path, cfg.ledger_path + ".idx", *(getattr(cfg, key) for key in paths)]
+        if "" in paths.values() or len({os.path.abspath(file) for file in files}) < len(files):
+            raise UsageError(f"config paths must be non-empty and name four different files, none "
+                             f"of them the config or the ledger's index: {json.dumps(paths)}")
         return cfg
 
-    def write_defaults(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump({key: getattr(self, key) for key in self.__slots__}, fh, indent=2)
-            fh.write("\n")
+
+load_config = Config.load
 
 
-class Deployment:
+class Deployment(NamedTuple):
     """An opened deployment: its config, ledger, unsealed contract and
     sealing key. As a context manager it seals the contract state on exit,
     whether or not the block failed, then closes the ledger in every case."""
 
-    __slots__ = ("config", "ledger", "gpm", "sealing_key")
-
-    def __init__(
-        self, config: Config, ledger: Ledger, gpm: GpmContract, sealing_key: bytes
-    ) -> None:
-        self.config = config
-        self.ledger = ledger
-        self.gpm = gpm
-        self.sealing_key = sealing_key
+    config: Config
+    ledger: Ledger
+    gpm: GpmContract
+    sealing_key: bytes
 
     def save(self) -> None:
         replace_file(self.config.sealed_state_path, [self.gpm.seal(self.sealing_key)])
@@ -160,12 +146,6 @@ class Deployment:
             self.save()
         finally:
             self.ledger.close()
-
-
-def load_config(path: str) -> Config:
-    if not os.path.exists(path):
-        raise UsageError(f"config not found: {path} (run init first)")
-    return Config.load(path)
 
 
 def load_deployment(config: Config) -> Deployment:
@@ -244,15 +224,7 @@ def _error_code(exc: PdidError) -> str:
     # Unknown-user and wrong-password collapse to one opaque code.
     if isinstance(exc, AuthRejected):
         return AuthRejected.public_code
-    name = type(exc).__name__
-    out = [name[0].lower()]
-    for ch in name[1:]:
-        if ch.isupper():
-            out.append("-")
-            out.append(ch.lower())
-        else:
-            out.append(ch)
-    return "".join(out)
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
 def _failure(exc: PdidError) -> dict:
@@ -264,8 +236,10 @@ def cmd_init(args) -> dict:
     parent = os.path.dirname(os.path.abspath(config_path))
     os.makedirs(parent, exist_ok=True)
     if not os.path.exists(config_path):
-        Config().write_defaults(config_path)
-    config = Config.load(config_path)
+        with open(config_path, "w") as fh:
+            json.dump(Config()._asdict(), fh, indent=2)
+            fh.write("\n")
+    config = load_config(config_path)
     already = os.path.exists(config.ledger_path) and os.path.exists(
         config.sealed_state_path
     )
@@ -279,10 +253,7 @@ def cmd_init(args) -> dict:
     ledger = Ledger.create(config.ledger_path, config.n_nodes, config.f)
     # Not a `with Deployment`: nothing is sealed unless the key file was written.
     try:
-        gpm = GpmContract.create(
-            ledger.tx_included,
-            rate_limit=(config.rate_limit_attempts, config.rate_limit_window_secs),
-        )
+        gpm = GpmContract.create(ledger.tx_included)
         sealing_key = crypto.random_bytes(crypto.KEY_LEN)
         replace_file(config.sealing_key_path, [sealing_key])
         Deployment(config, ledger, gpm, sealing_key).save()

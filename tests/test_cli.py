@@ -16,7 +16,7 @@ import pytest
 import pdid
 from pdid import actors, cli, crypto
 from pdid.contract import GpmContract
-from pdid.errors import MalformedRecord, PdidError
+from pdid.errors import MalformedRecord, PdidError, UsernameTaken
 from pdid.ledger import Ledger
 
 
@@ -397,9 +397,16 @@ def test_bad_config_is_a_usage_error_before_any_ledger_write(config_path, capsys
         '{"rate_limit_window_secs": 0}',
         '{"rate_limit_window_secs": NaN}',
         '{"rate_limit_window_secs": Infinity}',
+        '{"sealed_state_path": ""}',
+        '{"sealed_state_path": "ledger.log"}',
+        '{"sealed_state_path": "ledger.log.idx"}',
+        '{"contract_pk_path": "sealing.key"}',
+        '{"contract_pk_path": "deploy.json"}',
     ],
     ids=["nodes-not-3f+1", "nodes-over-255", "f-negative", "attempts-zero", "window-negative",
-         "window-zero", "window-nan", "window-infinite"],
+         "window-zero", "window-nan", "window-infinite", "state-path-empty",
+         "state-path-is-ledger", "state-path-is-ledger-index", "pk-path-is-sealing-key",
+         "pk-path-is-config"],
 )
 def test_out_of_range_config_is_a_usage_error_before_any_file_is_touched(
     config_path, capsys, text
@@ -456,6 +463,44 @@ def test_attack_scenarios_hold(scenario, capsys):
     code, out = run_json(["attack", scenario], capsys)
     assert code == 0
     assert out["defense_held"] is True
+    assert out["expected"] and out["observed"]
+
+
+def _swallow(exc_type, method):
+    def call(*args, **kwargs):
+        try:
+            return method(*args, **kwargs)
+        except exc_type:
+            return None
+
+    return call
+
+
+def _clear_seen_first(append):
+    def call(ledger, tx):
+        ledger._seen.clear()
+        return append(ledger, tx)
+
+    return call
+
+
+# One broken defense per drill, each patched where the drill's deployment
+# looks it up.
+BROKEN_DEFENSES = {
+    "duplicate-register": (GpmContract, "new_pdid", _swallow(UsernameTaken, GpmContract.new_pdid)),
+    "offline-gpm": (Ledger, "tx_included", lambda ledger, tx, proof: True),
+    "malicious-server-tamper": (actors, "verify_confirm", lambda *args: True),
+    "replay": (Ledger, "append", _clear_seen_first(Ledger.append)),
+    "online-guess": (GpmContract, "_recent_attempts", lambda gpm, username, now: 0),
+}
+
+
+@pytest.mark.parametrize("scenario", cli.ATTACK_SCENARIOS)
+def test_attack_reports_a_broken_defense(scenario, capsys, monkeypatch):
+    monkeypatch.setattr(*BROKEN_DEFENSES[scenario])
+    code, out = run_json(["attack", scenario], capsys)
+    assert code == 1
+    assert out["defense_held"] is False
     assert out["expected"] and out["observed"]
 
 
