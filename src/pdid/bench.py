@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from . import actors, crypto
 from .contract import GpmContract
 from .ledger import Ledger
-from .wire import UpdatePlaintext
+from .wire import METADATA_LEN
 
 # Reference timings (milliseconds) and sizes (bytes) from the original
 # evaluation of this design, reported alongside measurements for comparison.
@@ -70,9 +70,9 @@ LOGIN_STAGES = (
 def run_benchmark(iterations: int = 50) -> dict:
     """Time every protocol stage over fresh users and report sizes.
 
-    Each login is one `run_login`: its observer stamps the end of each of
-    the six `LOGIN_STAGES`, and the bytes it is handed give the message
-    sizes. Each stage also reports the medians of its BLOCKS consecutive
+    Each user registers, logs in, then updates its password. Each login is
+    one `run_login`: its observer stamps the end of each of the six
+    `LOGIN_STAGES`, and the bytes it is handed give the message sizes. Each stage also reports the medians of its BLOCKS consecutive
     blocks of iterations, and `noise_flags` names the stages `_noisy`
     finds. Measured numbers sit next to the reference timings so
     regressions and instantiation differences stay visible.
@@ -114,17 +114,25 @@ def run_benchmark(iterations: int = 50) -> dict:
         raw["server_auth_total"].append(stage["server_phase1"] + stage["server_phase2"])
         raw["login_roundtrip"].append(stamps[-1] - stamps[0])
 
+        t0 = perf()
+        update_tx = actors.client_update(username, password, password + b"-new", gpm.public_key)
+        t1 = perf()
+        proof = ledger.append(update_tx)
+        t2 = perf()
+        gpm.update_pdid(update_tx, proof)
+        t3 = perf()
+        raw["client_update"].append(t1 - t0)
+        raw["gpm_update"].append(t3 - t2)
+
     # Byte sizes from the last user's messages, frozen-format widths.
     state_len = len(actors.client_auth_init(username, password)[0].ephemeral_state_bytes())
-    meta = actors.build_metadata(password)
-    update_pt = UpdatePlaintext(username, password, meta)
     auth_tx, reply = seen["server->ledger"], seen["gpm->server"]
     sizes = {
         "user_auth_init": len(seen["user->server"]),
         "server_to_user": len(seen["server->user"]),
         "registration_plaintext": len(tx.payload) - crypto.PKE_OVERHEAD,
-        "update_plaintext": len(update_pt.encode()),
-        "metadata_record": len(meta.encode()),
+        "update_plaintext": len(update_tx.payload) - crypto.PKE_OVERHEAD,
+        "metadata_record": METADATA_LEN,
         "client_ephemeral_state": state_len,
         "register_tx_payload": len(tx.payload),
         "auth_tx_payload": len(auth_tx),
@@ -145,6 +153,7 @@ def run_benchmark(iterations: int = 50) -> dict:
             "server_auth_total_median_ms": timings["server_auth_total"]["median_ms"],
             "gpm_auth_median_ms": timings["gpm_auth"]["median_ms"],
             "gpm_register_median_ms": timings["gpm_register"]["median_ms"],
+            "gpm_update_median_ms": timings["gpm_update"]["median_ms"],
             "login_roundtrip_median_ms": timings["login_roundtrip"]["median_ms"],
         },
         "sizes_bytes": sizes,

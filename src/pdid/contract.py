@@ -19,10 +19,20 @@ Refusals come in this order: ledger inclusion, transaction kind, box
 decryption; then for a registration the request's decode and a taken
 username, and for AUTH and UPDATE the request's tag and username, unknown
 user and a full rate window, none of which decodes a group element, so a
-guess over the cap costs no point decompression. Only then are the whole
-request and the stored record decoded, and (for AUTH) the reply box's key
-exchange run; a malformed request, a corrupt record or a reply key with no
-box to it is refused there, before any charge. Every fault in a
+guess over the cap costs no point decompression. Only then is the whole
+request decoded and the stored record read, its static public keys checked
+for width only. AUTH decodes the client key it multiplies by and runs the
+reply box's key exchange; a malformed request, a corrupt record or a reply
+key with no box to it is refused there, before any charge. UPDATE compares
+the stored keys with the envelope's byte for byte (`_opens`) and decodes
+the record in full only to refuse it: a corrupt record is MalformedRecord,
+uncharged, and a sound one WrongPassword. For every record a contract can
+store, this is the element comparison's result, since a decode succeeds
+only on a canonical encoding and `encode` is injective on the curve. Only
+a state forged with the sealing key can hold a stored key that does not
+decode, and only against such a record can an update end otherwise than
+after a full decode: if its server key equals the envelope's copy, the
+right password succeeds and stores a validated record. Every fault in a
 transaction body is MalformedRecord: a box that does not open, a field
 that does not parse, a point or scalar that fails its check, and a
 low-order reply key alike. So a request malformed past its username, or
@@ -53,7 +63,7 @@ import struct
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
-from . import crypto, oprf
+from . import crypto, oprf, wire
 from .errors import (
     AuthFailure,
     CryptoError,
@@ -75,11 +85,11 @@ from .wire import (
     RegistrationPlaintext,
     TxKind,
     UpdatePlaintext,
-    decode_auth_metadata,
     decode_envelope_plaintext,
     decode_expected,
     decode_metadata,
     leading_username,
+    metadata_fields,
     pack_field,
 )
 
@@ -125,19 +135,31 @@ def _checked_record(record: bytes) -> bytes:
     return record
 
 
-def _opens(password: bytes, meta: Any) -> bool:
-    """Whether `password` opens a stored record: its OPRF output must open
-    the envelope, the envelope's static public keys must equal the stored
-    ones byte for byte, and the recovered static secret must match the
-    stored client key."""
-    envelope_key = oprf.oprf_eval(meta.oprf_key, password)
+def _stored(decode: Callable[[bytes], _Decoded], data: bytes) -> _Decoded:
+    """`decode(data)` for (part of) a stored record; a field that fails its
+    check is refused as a corrupt record."""
     try:
-        envelope_pt = crypto.aead_decrypt(envelope_key, meta.envelope)
-        static_priv, static_pub, server_pub = decode_envelope_plaintext(envelope_pt)
+        return decode(data)
+    except CryptoError as exc:
+        raise MalformedRecord("stored metadata record is corrupt") from exc
+
+
+def _opens(
+    password: bytes, oprf_key: crypto.Scalar, envelope: bytes, client_pub: bytes, server_pub: bytes
+) -> bool:
+    """Whether `password` opens a stored record, given its OPRF key, its
+    envelope and its static public keys' encodings: the OPRF output must
+    open the envelope, the envelope's static public keys must equal the
+    stored ones byte for byte, and the recovered static secret's public key
+    must encode to the stored client key. No stored key is decoded."""
+    envelope_key = oprf.oprf_eval(oprf_key, password)
+    try:
+        envelope_pt = crypto.aead_decrypt(envelope_key, envelope)
+        static_priv, static_pub, envelope_server_pub = decode_envelope_plaintext(envelope_pt)
         return (
-            static_pub == meta.client_static_pub.encode()
-            and server_pub == meta.server_static_pub.encode()
-            and crypto.base_exp(static_priv) == meta.client_static_pub
+            static_pub == client_pub
+            and envelope_server_pub == server_pub
+            and crypto.base_exp(static_priv).encode() == client_pub
         )
     except AuthFailure:
         return False
@@ -232,12 +254,12 @@ class GpmContract:
         if self._recent_attempts(username, now) >= self.rate_limit[0]:
             raise RateLimited("too many recent attempts for this username")
         msg = _request(plaintext, cls)
-        try:
-            # Looked up by name at each call, so a rebound decoder is used.
-            record = (decode_auth_metadata if auth else decode_metadata)(self._users[username])
-        except CryptoError as exc:
-            raise MalformedRecord("stored metadata record is corrupt") from exc
+        stored = self._users[username]
+        oprf_key, server_priv, server_pub, client_pub, envelope = _stored(metadata_fields, stored)
+        # The decoders are looked up by name at each call, so a rebound
+        # decoder is used.
         if auth:
+            record = (oprf_key, server_priv, _stored(wire.decode_element, client_pub), envelope)
             entropy = crypto.hash_parts("gpm-reply", [self._keypair.secret, tx.id])
             try:
                 reply_box = crypto.pk_box(msg.reply_pk, entropy)
@@ -245,7 +267,8 @@ class GpmContract:
                 raise MalformedRecord("no box can be made to the reply key") from exc
             self._attempts.setdefault(username, []).append(now)
             return msg, record, reply_box
-        if not _opens(msg.password, record):
+        if not _opens(msg.password, oprf_key, envelope, client_pub, server_pub):
+            _stored(decode_metadata, stored)  # a corrupt record is refused, not charged
             self._attempts.setdefault(username, []).append(now)
             raise WrongPassword("old password verification failed")
         self._users[username] = msg.new_metadata.encode()

@@ -189,19 +189,21 @@ def decode_metadata(data: bytes) -> PasswordMetadata:
 METADATA = (None, Message.encode, lambda field: decode_metadata(field))
 
 
-def decode_auth_metadata(data: bytes) -> tuple[Scalar, Scalar, GroupElement, bytes]:
-    """The fields of a metadata record that authentication uses: OPRF key,
-    server static private key, client static public key, envelope. The
-    server static public key is checked for width only, not decoded."""
+def metadata_fields(data: bytes) -> tuple[Scalar, Scalar, bytes, bytes, bytes]:
+    """A metadata record's fields in order, for the contract's steps: OPRF
+    key, server static private key, the server's and the client's static
+    public keys as their 33-byte encodings, checked for width only, and
+    the envelope. A caller decodes only the key it uses."""
     r = Reader(data)
     if r.u8() != MSG_METADATA:
         raise MalformedRecord("expected a metadata record")
     oprf_key, server_static_priv = decode_scalar(r.field()), decode_scalar(r.field())
-    _check_len(r.field(), ELEMENT_LEN, "server static public key")
-    client_static_pub, envelope = decode_element(r.field()), r.field()
+    server_static_pub, client_static_pub, envelope = r.field(), r.field(), r.field()
+    _check_len(server_static_pub, ELEMENT_LEN, "server static public key")
+    _check_len(client_static_pub, ELEMENT_LEN, "client static public key")
     _check_len(envelope, ENVELOPE_CT_LEN, "envelope")
     r.expect_done()
-    return oprf_key, server_static_priv, client_static_pub, envelope
+    return oprf_key, server_static_priv, server_static_pub, client_static_pub, envelope
 
 
 def encode_envelope_plaintext(

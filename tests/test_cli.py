@@ -551,6 +551,16 @@ def test_bench_sizes_are_the_observed_login_bytes(capsys):
     assert sizes["server_to_user"] == len(seen["server->user"])
 
 
+def test_bench_times_the_update_and_sizes_its_observed_transaction(capsys):
+    _, out = run_json(["bench", "--iterations", "3"], capsys)
+    gpm_update = out["timings_ms"]["gpm_update"]["median_ms"]
+    assert out["timings_ms"]["client_update"]["median_ms"] > 0 and gpm_update > 0
+    assert out["derived"]["gpm_update_median_ms"] == gpm_update
+    # As long as the last bench user's name and password.
+    tx = actors.client_update(b"bench-user-000002", b"bench-pw-2", b"new", crypto.pk_gen().public)
+    assert out["sizes_bytes"]["update_plaintext"] == len(tx.payload) - crypto.PKE_OVERHEAD
+
+
 def test_bench_login_stages_are_disjoint_parts_of_the_round_trip(capsys):
     _, out = run_json(["bench", "--iterations", "5"], capsys)
     t = out["timings_ms"]

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from pdid import actors, cli, crypto, oprf, wire
+from pdid import actors, cli, contract, crypto, oprf, wire
 from pdid.contract import GpmContract
 from pdid.errors import (
     AuthFailure,
@@ -430,7 +430,14 @@ def test_admitted_flows_decode_only_the_elements_they_use(decodes, monkeypatch):
     assert len(decodes) == 5 and counts["client_auth_finish"] == 1
     del decodes[:]
     actors.run_update(gpm, ledger, b"alice", b"pw", b"new")
-    # The new record's two public keys and the stored record's two.
+    # The new record's two public keys; the stored record's are compared
+    # as bytes.
+    assert len(decodes) == 2
+    del decodes[:]
+    with pytest.raises(WrongPassword):
+        actors.run_update(gpm, ledger, b"alice", b"pw", b"newer")
+    # A refusal decodes the stored record in full first, to tell a corrupt
+    # record from a wrong password.
     assert len(decodes) == 4
 
 
@@ -562,6 +569,61 @@ def test_update_wrong_password_leaves_metadata_byte_identical():
     with pytest.raises(WrongPassword):
         gpm.update_pdid(tx, ledger.append(tx))
     assert gpm._users[b"alice"] == before
+
+
+def element_opens(password, meta):
+    """The reference for `contract._opens`: the stored record decoded in
+    full and the recovered static secret's public key compared as a point."""
+    envelope_key = oprf.oprf_eval(meta.oprf_key, password)
+    try:
+        envelope_pt = crypto.aead_decrypt(envelope_key, meta.envelope)
+        static_priv, static_pub, server_pub = wire.decode_envelope_plaintext(envelope_pt)
+        return (
+            static_pub == meta.client_static_pub.encode()
+            and server_pub == meta.server_static_pub.encode()
+            and crypto.base_exp(static_priv) == meta.client_static_pub
+        )
+    except AuthFailure:
+        return False
+
+
+def opens_cases(password):
+    """Records against which `password` is tried: a consistent one, then
+    ones whose envelope holds other static keys or whose stored server key
+    is swapped."""
+    oprf_key = crypto.random_scalar()
+    client_priv, server_priv, other_priv = (crypto.random_scalar() for _ in range(3))
+    client_pub, server_pub, other_pub = map(crypto.base_exp, (client_priv, server_priv, other_priv))
+    negated = crypto.Scalar(crypto.GROUP_ORDER - client_priv.value)  # same x, other y
+
+    def record(sealed, stored_server=server_pub):
+        envelope = crypto.aead_encrypt(
+            oprf.oprf_eval(oprf_key, password), wire.encode_envelope_plaintext(*sealed)
+        )
+        return wire.PasswordMetadata(oprf_key, server_priv, stored_server, client_pub, envelope)
+
+    return {
+        "consistent": record((client_priv, client_pub, server_pub)),
+        "other client keypair": record((other_priv, other_pub, server_pub)),
+        "other client secret": record((other_priv, client_pub, server_pub)),
+        "negated client secret": record((negated, client_pub, server_pub)),
+        "other server key": record((client_priv, client_pub, other_pub)),
+        "swapped stored server key": record((client_priv, client_pub, server_pub), other_pub),
+    }
+
+
+def test_opens_compares_encodings_as_the_element_check_compares_points(seeded):
+    outcomes = Counter()
+    for i in range(4):
+        password = b"pw-%d" % i
+        for name, meta in opens_cases(password).items():
+            oprf_key, _, server_pub, client_pub, envelope = wire.metadata_fields(meta.encode())
+            for tried in (password, b"wrong-" + password):
+                got = contract._opens(tried, oprf_key, envelope, client_pub, server_pub)
+                assert got == element_opens(tried, meta), (name, tried)
+                outcomes[name, tried == password, got] += 1
+    assert outcomes["consistent", True, True] == 4
+    assert sum(n for (_, _, got), n in outcomes.items() if not got) == 44
 
 
 def test_update_unknown_user():

@@ -176,8 +176,30 @@ def test_off_curve_element_in_sealed_state_fails_at_use_and_changes_nothing():
     with pytest.raises(MalformedRecord):
         actors.run_login(restored, ledger, b"alice", b"pw", b"srv")
     assert state_plaintext(restored, key) == before
+    # An update is refused uncharged too, with the right old password or not.
+    for old_password in (b"pw", b"not-pw"):
+        with pytest.raises(MalformedRecord):
+            actors.run_update(restored, ledger, b"alice", old_password, b"pw-2")
+        assert state_plaintext(restored, key) == before
     # Other users' records are untouched and still usable.
     actors.run_login(restored, ledger, b"bob", b"bob-pw", b"srv")
+
+
+def test_another_valid_client_key_in_sealed_state_is_a_charged_wrong_password():
+    ledger, gpm, key = registered()
+    records = state_users(gpm, key)
+    alice = bytearray(records[b"alice"])
+    # The client static public key: record bytes 106-138.
+    alice[106:139] = crypto.base_exp(crypto.random_scalar()).encode()
+    records[b"alice"] = bytes(alice)
+    restored = GpmContract.unseal(
+        sealed_with_users(gpm, key, records), key,
+        tx_verifier=ledger.tx_included, clock=lambda: NOW,
+    )
+    with pytest.raises(WrongPassword):
+        actors.run_update(restored, ledger, b"alice", b"pw", b"pw-2")
+    assert restored._users[b"alice"] == bytes(alice)
+    assert restored._attempts == {b"alice": [NOW]}
 
 
 def test_off_curve_server_static_key_spares_login_and_stops_update():

@@ -134,14 +134,22 @@ def test_metadata_round_trip_and_cap():
     assert len(encoded) <= 512
 
 
-def test_auth_metadata_decode_agrees_with_the_full_decode(seeded):
-    """Every bit flip of a record is refused by both decoders or decoded by
-    both to the same four fields, except flips inside the server static
-    public key (record bytes 71-103), which only the width check sees."""
+def test_metadata_fields_agree_with_the_full_decode(seeded):
+    """Every bit flip of a record is refused by both readers or read by both
+    to the same five fields, public keys as their encodings, except flips
+    inside either static public key (record bytes 71-103 and 106-138),
+    which only the width check sees."""
     meta = random_metadata()
     encoded = meta.encode()
-    fields = (meta.oprf_key, meta.server_static_priv, meta.client_static_pub, meta.envelope)
-    assert wire.decode_auth_metadata(encoded) == fields
+
+    def fields(full):
+        return (
+            full.oprf_key, full.server_static_priv, full.server_static_pub.encode(),
+            full.client_static_pub.encode(), full.envelope,
+        )
+
+    assert wire.metadata_fields(encoded) == fields(meta)
+    width_only = 0
     for pos in range(len(encoded)):
         mutated = bytearray(encoded)
         mutated[pos] ^= 1 << (pos % 8)
@@ -150,15 +158,15 @@ def test_auth_metadata_decode_agrees_with_the_full_decode(seeded):
         except PdidError:
             full = None
         try:
-            auth = wire.decode_auth_metadata(bytes(mutated))
+            read = wire.metadata_fields(bytes(mutated))
         except PdidError:
-            auth = None
-        if 71 <= pos < 104 and full is None and auth is not None:
+            read = None
+        if (71 <= pos < 104 or 106 <= pos < 139) and full is None and read is not None:
+            assert read[2:4] == (bytes(mutated[71:104]), bytes(mutated[106:139])), pos
+            width_only += 1
             continue
-        expected = None if full is None else (
-            full.oprf_key, full.server_static_priv, full.client_static_pub, full.envelope
-        )
-        assert auth == expected, pos
+        assert read == (None if full is None else fields(full)), pos
+    assert width_only > 0
 
 
 def test_envelope_plaintext_round_trip():
