@@ -32,7 +32,9 @@ only on a canonical encoding and `encode` is injective on the curve. Only
 a state forged with the sealing key can hold a stored key that does not
 decode, and only against such a record can an update end otherwise than
 after a full decode: if its server key equals the envelope's copy, the
-right password succeeds and stores a validated record. Every fault in a
+right password succeeds and stores a validated record. An envelope that
+opens under the given password to a static secret that is not a scalar is
+a corrupt record too: MalformedRecord, uncharged. Every fault in a
 transaction body is MalformedRecord: a box that does not open, a field
 that does not parse, a point or scalar that fails its check, and a
 low-order reply key alike. So a request malformed past its username, or
@@ -151,11 +153,15 @@ def _opens(
     envelope and its static public keys' encodings: the OPRF output must
     open the envelope, the envelope's static public keys must equal the
     stored ones byte for byte, and the recovered static secret's public key
-    must encode to the stored client key. No stored key is decoded."""
+    must encode to the stored client key. No stored key is decoded. An
+    envelope that opens to a static secret that is not a scalar is a
+    corrupt record, MalformedRecord."""
     envelope_key = oprf.oprf_eval(oprf_key, password)
     try:
         envelope_pt = crypto.aead_decrypt(envelope_key, envelope)
-        static_priv, static_pub, envelope_server_pub = decode_envelope_plaintext(envelope_pt)
+        static_priv, static_pub, envelope_server_pub = _stored(
+            decode_envelope_plaintext, envelope_pt
+        )
         return (
             static_pub == client_pub
             and envelope_server_pub == server_pub

@@ -21,6 +21,15 @@ ECDH, which returns only x):
   constant-time, is every square root (decoding a point, the one square
   root of each map) and every inversion (`scalar_invert` on the OPRF
   blind).
+None of the three makes or frees an OpenSSL object of its own per call.
+Each thread has its own (`_Scratch`), made on its first native call and
+freed when it ends: one BN_CTX, passed to every call that takes one,
+BIGNUMs flagged constant-time once at creation, and points. Threads share
+none of them. Before it returns, each call clears every BIGNUM that held a
+secret and overwrites every point that did with the generator. The
+BN_CTX's pool of intermediate BIGNUMs is OpenSSL's: like the integers
+Python frees, it may hold an intermediate value until reused, and it is
+cleared when freed.
 OpenSSL sums two points in constant time only in P-256's own methods
 (nistz256, nistp256); its generic `EC_GFp_mont_method` does it by
 variable-time wNAF. So the import refuses a library whose P-256 group
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -363,11 +373,14 @@ _EC_POINTs_mul = _bind(
     "EC_POINTs_mul", ctypes.c_int, _ptr, _ptr, _ptr, ctypes.c_size_t, _ptr, _ptr, _ptr
 )
 _EC_POINT_add = _bind("EC_POINT_add", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr)
+_EC_POINT_copy = _bind("EC_POINT_copy", ctypes.c_int, _ptr, _ptr)
+_EC_GROUP_get0_generator = _bind("EC_GROUP_get0_generator", _ptr, _ptr)
 _EC_POINT_set_Jprojective_coordinates_GFp = _bind(
     "EC_POINT_set_Jprojective_coordinates_GFp", ctypes.c_int, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr
 )
 _BN_bin2bn = _bind("BN_bin2bn", _ptr, ctypes.c_char_p, ctypes.c_int, _ptr)
 _BN_set_flags = _bind("BN_set_flags", None, _ptr, ctypes.c_int)
+_BN_clear = _bind("BN_clear", None, _ptr)
 _BN_clear_free = _bind("BN_clear_free", None, _ptr)
 _BN_new = _bind("BN_new", _ptr)
 _BN_bn2binpad = _bind("BN_bn2binpad", ctypes.c_int, _ptr, ctypes.c_char_p, ctypes.c_int)
@@ -421,42 +434,84 @@ def _montgomery(modulus: int) -> tuple[int, int]:
 
 _FIELD = _montgomery(_P)
 _ORDER = _montgomery(GROUP_ORDER)
+_GENERATOR = _EC_GROUP_get0_generator(_GROUP)
+
+
+class _Owned(list):
+    """(free, pointer) pairs, each pointer freed when this list is. The
+    free functions are held here rather than looked up, so freeing works
+    at interpreter exit too, when this module's globals may be None."""
+
+    def new(self, make: Callable[..., int], free: Callable[[int], None], *args: int) -> int:
+        pointer = make(*args)
+        if not pointer:
+            raise CryptoError(f"{make.__name__} failed")
+        self.append((free, pointer))
+        return pointer
+
+    def __del__(self) -> None:
+        for free, pointer in self:
+            free(pointer)
+
+
+class _Scratch(threading.local):
+    """One thread's OpenSSL objects, made on the thread's first native call
+    (the importing thread's at import) and freed when the thread ends.
+    Each of the four native functions below takes its own tuple of them in
+    one thread-local read; they share only the thread's BN_CTX. Every
+    BIGNUM is flagged BN_FLG_CONSTTIME here, once: BN_bin2bn and BN_clear
+    keep a BIGNUM's flags."""
+
+    def __init__(self) -> None:
+        owned = self.owned = _Owned()
+        ctx = owned.new(_BN_CTX_new, _BN_CTX_free)
+        bignums = [owned.new(_BN_new, _BN_clear_free) for _ in range(9)]
+        for bignum in bignums:
+            _BN_set_flags(bignum, _BN_FLG_CONSTTIME)
+        points = [owned.new(_EC_POINT_new, _EC_POINT_clear_free, _GROUP) for _ in range(5)]
+        scalars, bases = bignums[4:6], points[:2]
+        self.field_pow = (ctx, *bignums[:3], ctypes.create_string_buffer(32))
+        self.octets = (ctx, ctypes.create_string_buffer(_OCTETS_LEN))
+        # EC_POINTs_mul reads only the first `num` entries of its arrays.
+        arrays = ((_ptr * 2)(*bases), (_ptr * 2)(*scalars))
+        self.point_mul = (ctx, bignums[3], scalars, bases, points[2], arrays)
+        self.point_add = (ctx, bignums[6:], points[3:])
+
+
+_scratch = _Scratch()
 
 
 def _field_pow(x: int, e: int, field: tuple[int, int] = _FIELD) -> int:
     """x^e mod p (or mod the group order, given `_ORDER`) for 0 <= x, e
-    below 2^256: one BN_mod_exp_mont_consttime, with x flagged
-    BN_FLG_CONSTTIME and cleared when freed. Each call has its own BN_CTX
-    and only reads the shared Montgomery context, so threads may
-    exponentiate at once while ctypes releases the GIL."""
+    below 2^256: one BN_mod_exp_mont_consttime, with x in a BIGNUM
+    flagged BN_FLG_CONSTTIME. x and the result are cleared before it
+    returns; e, a public constant, is not. Each thread has its own
+    BIGNUMs and BN_CTX and only reads the shared Montgomery context, so
+    threads may exponentiate at once while ctypes releases the GIL."""
     m, mont = field
-    ctx = _BN_CTX_new()
-    base = _BN_bin2bn(x.to_bytes(32, "big"), 32, None)
-    exponent = _BN_bin2bn(e.to_bytes(32, "big"), 32, None)
-    result = _BN_new()
+    ctx, base, exponent, result, out = _scratch.field_pow
     try:
-        if not (ctx and base and exponent and result):
-            raise CryptoError("BIGNUM allocation failed")
-        _BN_set_flags(base, _BN_FLG_CONSTTIME)
+        if not (
+            _BN_bin2bn(x.to_bytes(32, "big"), 32, base)
+            and _BN_bin2bn(e.to_bytes(32, "big"), 32, exponent)
+        ):
+            raise CryptoError("BN_bin2bn failed")
         if not _BN_mod_exp_mont_consttime(result, base, exponent, m, ctx, mont):
             raise CryptoError("BN_mod_exp_mont_consttime failed")
-        out = ctypes.create_string_buffer(32)
         if _BN_bn2binpad(result, out, 32) != 32:
             raise CryptoError("BN_bn2binpad failed")
         return int.from_bytes(out.raw, "big")
     finally:
-        _BN_clear_free(base)
-        _BN_clear_free(exponent)
-        _BN_clear_free(result)
-        _BN_CTX_free(ctx)
+        _BN_clear(base)
+        _BN_clear(result)
 
 
 def _octets(point: int) -> bytes:
     """An EC_POINT as uncompressed octets: 65 bytes, or one zero byte for
     the identity."""
-    out = ctypes.create_string_buffer(_OCTETS_LEN)
+    ctx, out = _scratch.octets
     written = _EC_POINT_point2oct(
-        _GROUP, point, _POINT_CONVERSION_UNCOMPRESSED, out, _OCTETS_LEN, None
+        _GROUP, point, _POINT_CONVERSION_UNCOMPRESSED, out, _OCTETS_LEN, ctx
     )
     if not written:
         raise CryptoError("EC_POINT_point2oct failed")
@@ -466,51 +521,45 @@ def _octets(point: int) -> bytes:
 def _point_mul(*terms: tuple[int, Optional[GroupElement]]) -> bytes:
     """The sum of k*b over the terms (k, b), b None for the generator, as
     uncompressed octets: 65 bytes, or one zero byte for the identity. An
-    identity b adds nothing. At most one term is the generator's.
+    identity b adds nothing. At most one term is the generator's, and at
+    most two have another b.
 
     One EC_POINTs_mul, which runs the group method's multiplication as
     EC_POINT_mul does; `_refuse_generic_method` keeps its two-point case
     constant-time. Each scalar is a BIGNUM flagged BN_FLG_CONSTTIME, as
-    EC_KEY flags the one ECDH multiplies by, and is cleared when freed. No
-    BN_CTX is passed, so OpenSSL makes its scratch space per call: ctypes
-    releases the GIL around each call, and threads may multiply at once.
-    """
-    generator = result = None
-    scalars: list[int] = []
-    points: list[int] = []
+    EC_KEY flags the one ECDH multiplies by. The scalars, bases and
+    product are the thread's own (`_Scratch`), as is the BN_CTX passed
+    to OpenSSL, so threads may multiply at once while ctypes releases the
+    GIL. Before it returns, the scalars it set are cleared, and the bases
+    it set and the product are overwritten with the generator: a base may
+    be password-derived (the OPRF's hash_to_group)."""
+    ctx, generator, scalars, bases, product, arrays = _scratch.point_mul
+    g = None
+    num = 0
     try:
         for k, b in terms:
-            if b is not None and b.x is None:
-                continue
-            scalar = _BN_bin2bn(k.to_bytes(SCALAR_LEN, "big"), SCALAR_LEN, None)
-            if not scalar:
-                raise CryptoError("BN_bin2bn failed")
-            _BN_set_flags(scalar, _BN_FLG_CONSTTIME)
             if b is None:
-                generator = scalar
+                scalar = g = generator
+            elif b.x is None:
                 continue
-            scalars.append(scalar)
-            points.append(_EC_POINT_new(_GROUP))
-            octets = b"\x04" + b.x.to_bytes(32, "big") + b.y.to_bytes(32, "big")
-            if not (
-                points[-1] and _EC_POINT_oct2point(_GROUP, points[-1], octets, _OCTETS_LEN, None)
-            ):
-                raise CryptoError("EC_POINT_oct2point refused the base")
-        result = _EC_POINT_new(_GROUP)
-        if not result:
-            raise CryptoError("EC_POINT_new failed")
-        num = len(points)
-        arrays = ((_ptr * num)(*points), (_ptr * num)(*scalars)) if num else (None, None)
-        if not _EC_POINTs_mul(_GROUP, result, generator, num, *arrays, None):
+            else:
+                scalar, base = scalars[num], bases[num]
+                num += 1
+                octets = b"\x04" + b.x.to_bytes(32, "big") + b.y.to_bytes(32, "big")
+                if not _EC_POINT_oct2point(_GROUP, base, octets, _OCTETS_LEN, ctx):
+                    raise CryptoError("EC_POINT_oct2point refused the base")
+            if not _BN_bin2bn(k.to_bytes(SCALAR_LEN, "big"), SCALAR_LEN, scalar):
+                raise CryptoError("BN_bin2bn failed")
+        if not _EC_POINTs_mul(_GROUP, product, g, num, *arrays, ctx):
             raise CryptoError("EC_POINTs_mul failed")
-        return _octets(result)
+        return _octets(product)
     finally:
-        _BN_clear_free(generator)
-        for scalar in scalars:
-            _BN_clear_free(scalar)
-        for point in points:
-            _EC_POINT_clear_free(point)
-        _EC_POINT_clear_free(result)
+        if g is not None:
+            _BN_clear(g)
+        for scalar, base in zip(scalars[:num], bases):
+            _BN_clear(scalar)
+            _EC_POINT_copy(base, _GENERATOR)
+        _EC_POINT_copy(product, _GENERATOR)
 
 
 def _point_add(a: tuple[int, int, int], b: tuple[int, int, int]) -> GroupElement:
@@ -518,27 +567,26 @@ def _point_add(a: tuple[int, int, int], b: tuple[int, int, int]) -> GroupElement
     coordinate in [0, p), and Z = 0 the identity: one EC_POINT_add, on
     the Jacobian (XZ, YZ^2, Z) of each, into a's EC_POINT. The Jacobian
     setter checks nothing, so the sum is built through the checked
-    GroupElement(x, y)."""
-    coordinates = [_BN_new() for _ in range(3)]  # reused for b
-    points = [_EC_POINT_new(_GROUP) for _ in range(2)]
+    GroupElement(x, y). Both map points are password-derived: before it
+    returns, the coordinates are cleared and both points overwritten with
+    the generator."""
+    ctx, coordinates, points = _scratch.point_add
     try:
         for (x, y, z), point in zip((a, b), points):
             values = [v.to_bytes(32, "big") for v in (x * z % _P, y * z * z % _P, z)]
             if not (
-                all(coordinates)
-                and point
-                and all(_BN_bin2bn(v, 32, bn) for v, bn in zip(values, coordinates))
-                and _EC_POINT_set_Jprojective_coordinates_GFp(_GROUP, point, *coordinates, None)
+                all(_BN_bin2bn(v, 32, bn) for v, bn in zip(values, coordinates))
+                and _EC_POINT_set_Jprojective_coordinates_GFp(_GROUP, point, *coordinates, ctx)
             ):
                 raise CryptoError("setting Jacobian coordinates failed")
-        if not _EC_POINT_add(_GROUP, points[0], points[0], points[1], None):
+        if not _EC_POINT_add(_GROUP, points[0], points[0], points[1], ctx):
             raise CryptoError("EC_POINT_add failed")
         return _element(_octets(points[0]), GroupElement)
     finally:
         for bignum in coordinates:
-            _BN_clear_free(bignum)
+            _BN_clear(bignum)
         for point in points:
-            _EC_POINT_clear_free(point)
+            _EC_POINT_copy(point, _GENERATOR)
 
 
 def _element(octets: bytes, make: Callable[[int, int], GroupElement] = _point) -> GroupElement:

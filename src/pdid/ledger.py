@@ -181,7 +181,8 @@ class Ledger:
     `_ids`, which `close` writes as the next index. A ledger reopened
     through its index holds in the other columns only the records after
     the `_base` records the index covers; those stay on disk until a read
-    of one loads them all (`_prefix`), and until then their ids, read from
+    of one loads them all and checks their payloads against their ids
+    (`_prefix`), and until then their ids, read from
     the index, stand in for their payloads in the duplicate check.
     """
 
@@ -418,7 +419,8 @@ class Ledger:
 
     def _prefix(self) -> tuple[bytearray, list[bytes]]:
         """Kinds and payloads of the records before `_base`, read from the
-        file on first use with the scan that `open` skipped."""
+        file on first use with the scan that `open` skipped. Each payload
+        must hash to the id the index holds for it."""
         with self._lock:
             if self._loaded_prefix is None:
                 with open(self.path, "rb") as fh:
@@ -426,7 +428,8 @@ class Ledger:
                     blob = fh.read(self._prefix_end - self._header_len)
                 kinds, payloads = bytearray(), []
                 _scan(blob, 0, kinds, payloads)
-                if len(payloads) != self._base:
+                # A count other than `_base` fails this too.
+                if b"".join(map(_tx_id, payloads)) != self._ids[: _ID_LEN * self._base]:
                     raise LedgerError("ledger index does not match the log")
                 self._loaded_prefix = kinds, payloads
             return self._loaded_prefix

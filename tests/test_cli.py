@@ -453,6 +453,18 @@ def test_no_password_source_is_usage_error(config_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_readme_lists_every_error_code():
+    classes = [
+        value for value in vars(pdid.errors).values()
+        if isinstance(value, type) and issubclass(value, PdidError)
+    ]
+    codes = {cli._error_code(cls()) for cls in classes}
+    # AuthRejected and its two subclasses share one code.
+    assert "authentication-failed" in codes and len(codes) == len(classes) - 2
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert sorted(code for code in codes if f"`{code}`" not in readme) == []
+
+
 # ---------------------------------------------------------------------------
 # Attack and bench commands.
 # ---------------------------------------------------------------------------

@@ -626,6 +626,34 @@ def test_opens_compares_encodings_as_the_element_check_compares_points(seeded):
     assert sum(n for (_, _, got), n in outcomes.items() if not got) == 44
 
 
+def test_update_against_an_envelope_holding_a_bad_scalar_is_malformed_and_uncharged():
+    # The envelope opens under the user's own password, to a static secret
+    # above the group order: a record only a hand-made registration stores.
+    ledger, gpm = fresh()
+    oprf_key, server_priv = crypto.random_scalar(), crypto.random_scalar()
+    server_pub = crypto.base_exp(server_priv)
+    client_pub = crypto.base_exp(crypto.random_scalar())
+    envelope = crypto.aead_encrypt(
+        oprf.oprf_eval(oprf_key, b"pw"), b"\xff" * 32 + client_pub.encode() + server_pub.encode()
+    )
+    meta = wire.PasswordMetadata(oprf_key, server_priv, server_pub, client_pub, envelope)
+    plaintext = wire.RegistrationPlaintext(b"alice", meta).encode()
+    tx = Transaction(TxKind.REGISTER, crypto.pk_encrypt(gpm.public_key, plaintext))
+    gpm.new_pdid(tx, ledger.append(tx))
+    key = crypto.random_bytes(crypto.KEY_LEN)
+    before = crypto.aead_decrypt(key, gpm.seal(key))
+    tx = actors.client_update(b"alice", b"pw", b"new-pw", gpm.public_key)
+    with pytest.raises(MalformedRecord) as refused:
+        gpm.update_pdid(tx, ledger.append(tx))
+    assert cli._error_code(refused.value) == "malformed-record"
+    assert crypto.aead_decrypt(key, gpm.seal(key)) == before
+    # A wrong password does not open the envelope: a charged WrongPassword.
+    tx = actors.client_update(b"alice", b"not-pw", b"new-pw", gpm.public_key)
+    with pytest.raises(WrongPassword):
+        gpm.update_pdid(tx, ledger.append(tx))
+    assert list(gpm._attempts) == [b"alice"]
+
+
 def test_update_unknown_user():
     ledger, gpm = fresh()
     tx = actors.client_update(b"ghost", b"a", b"b", gpm.public_key)

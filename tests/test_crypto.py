@@ -6,6 +6,7 @@ random inputs. The latter compares two OpenSSL builds: the system
 libcrypto that `crypto` multiplies with, and the one `cryptography` ships.
 """
 
+import ctypes
 import gc
 import hashlib
 import hmac
@@ -559,6 +560,72 @@ def test_native_calls_free_what_they_allocate():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 256 * 1024
+
+
+# NATIVE_LOOP's set-up, then each native path called once in each of 450
+# threads, started and joined one at a time: 50 warm-up threads, then the
+# RSS growth over 400 more, in bytes.
+THREAD_LOOP = NATIVE_LOOP[: NATIVE_LOOP.index("calls(300)")] + """
+import threading
+
+def threads(count):
+    for _ in range(count):
+        thread = threading.Thread(target=calls, args=(1,))
+        thread.start()
+        thread.join()
+
+threads(50)
+gc.collect()
+before = rss_bytes()
+threads(400)
+gc.collect()
+print(rss_bytes() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_each_thread_frees_its_scratch_objects_when_it_ends():
+    # A thread's scratch objects, about 3 KiB once used, left unfreed
+    # would grow RSS by over 1 MiB across the 400 threads. Freeing the
+    # main thread's at interpreter exit must print nothing either.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crypto.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_LOOP], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert int(proc.stdout) < 256 * 1024
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b, e: crypto.exp(b, e),
+        lambda b, e: crypto.base_exp(e),
+        lambda b, e: crypto.hmqv_key(b, b, b.encode()[1:], e, e, b.encode()[1:]),
+        lambda b, e: crypto.decode_element(b.encode()),
+        lambda b, e: crypto.hash_to_group("scratch", [e.encode()]),
+        lambda b, e: crypto.scalar_invert(e),
+    ],
+    ids=["exp", "base_exp", "hmqv_key", "decode_element", "hash_to_group", "scalar_invert"],
+)
+def test_native_calls_leave_their_scratch_cleared(call):
+    is_zero = crypto._bind("BN_is_zero", ctypes.c_int, crypto._ptr)
+    get_flags = crypto._bind("BN_get_flags", ctypes.c_int, crypto._ptr, ctypes.c_int)
+    cmp = crypto._bind("EC_POINT_cmp", ctypes.c_int, *[crypto._ptr] * 4)
+    call(crypto.hash_to_group("scratch base", []), crypto.random_scalar())
+    scratch = crypto._scratch
+    _, base, exponent, result, _ = scratch.field_pow
+    _, generator, scalars, bases, product, _ = scratch.point_mul
+    _, coordinates, summands = scratch.point_add
+    secret = [base, result, generator, *scalars, *coordinates]
+    # The exponent is a public constant, left set; every other BIGNUM
+    # held a secret and reads zero.
+    assert [is_zero(bignum) for bignum in secret] == [1] * len(secret)
+    for bignum in secret + [exponent]:
+        assert get_flags(bignum, crypto._BN_FLG_CONSTTIME) == crypto._BN_FLG_CONSTTIME
+    points = [*bases, product, *summands]
+    assert [cmp(crypto._GROUP, point, crypto._GENERATOR, None) for point in points] == [0] * 5
 
 
 def test_exp_by_order_minus_one_is_the_inverse():

@@ -550,6 +550,44 @@ def test_old_sequence_reads_load_the_prefix(tmp_path):
     reopened.close()
 
 
+def test_damage_inside_the_indexed_prefix_is_never_read_back_as_data(tmp_path):
+    # Seeded single-bit flips in the records before the last indexed one,
+    # which only `_prefix` reads. A flip in the last one fails the index's
+    # own check at open, and the full scan that follows checks no record
+    # (FORMATS.md, "Ledger index"). The kind byte is outside the tx id, so
+    # the payloads are compared.
+    path = tmp_path / "ledger.log"
+    index_path = tmp_path / "ledger.log.idx"
+    ledger = Ledger.create(str(path))
+    txs = [make_tx(bytes([i])) for i in range(10)]
+    for tx in txs:
+        ledger.append(tx)
+    first, last = ledger._header_len, ledger._last_start
+    ledger.close()
+    log, index = path.read_bytes(), index_path.read_bytes()
+    rng = random.Random(31)
+    refused = 0
+    for _ in range(200):
+        bit = rng.randrange(8 * first, 8 * last)
+        damaged = bytearray(log)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(damaged)
+        index_path.write_bytes(index)
+        reopened = Ledger.open(str(path))
+        try:
+            assert len(reopened) == 10
+            for seq, tx in enumerate(txs):
+                try:
+                    payload = reopened.transaction_at(seq).payload
+                except (LedgerError, MalformedRecord):
+                    refused += 1
+                else:
+                    assert payload == tx.payload, (bit, seq)
+        finally:
+            reopened.close()
+    assert refused > 0
+
+
 def test_concurrent_old_sequence_reads_share_one_prefix_load(tmp_path, monkeypatch):
     path = str(tmp_path / "ledger.log")
     ledger = Ledger.create(path)
